@@ -150,7 +150,7 @@ impl Comparison {
 }
 
 /// One parsed artifact cell row.
-struct CellRow {
+pub(crate) struct CellRow {
     benchmark: String,
     config: String,
     ns_per_cycle: f64,
@@ -162,36 +162,39 @@ struct CellRow {
     promo_coverage: Option<f64>,
 }
 
-fn artifact_cells(label: &str, text: &str) -> Result<Vec<CellRow>, String> {
-    let doc = parse_json(text).map_err(|e| format!("{label}: {e}"))?;
+/// Reads the cell rows of a `tw-bench/v1` artifact.
+///
+/// # Errors
+///
+/// Describes the first problem: bad JSON, a wrong schema, a missing or
+/// mistyped cell field, or no cells at all.
+pub(crate) fn artifact_cells(text: &str) -> Result<Vec<CellRow>, String> {
+    let doc = parse_json(text)?;
     let schema = doc.get("schema").and_then(Value::as_str);
     if schema != Some(SCHEMA) {
-        return Err(format!(
-            "{label}: not a {SCHEMA} artifact (schema {schema:?})"
-        ));
+        return Err(format!("not a {SCHEMA} artifact (schema {schema:?})"));
     }
     let cells = doc
         .get("cells")
         .and_then(Value::as_array)
-        .ok_or_else(|| format!("{label}: missing cells array"))?;
+        .ok_or("missing cells array")?;
     let mut rows = Vec::with_capacity(cells.len());
     for (i, cell) in cells.iter().enumerate() {
         let field = |name: &str| {
             cell.get(name)
-                .cloned()
-                .ok_or_else(|| format!("{label}: cell {i} missing {name:?}"))
+                .ok_or_else(|| format!("cell {i} missing {name:?}"))
         };
         let benchmark = field("benchmark")?
             .as_str()
-            .ok_or_else(|| format!("{label}: cell {i} benchmark is not a string"))?
+            .ok_or_else(|| format!("cell {i} benchmark is not a string"))?
             .to_string();
         let config = field("config")?
             .as_str()
-            .ok_or_else(|| format!("{label}: cell {i} config is not a string"))?
+            .ok_or_else(|| format!("cell {i} config is not a string"))?
             .to_string();
         let ns = field("ns_per_cycle")?
             .as_f64()
-            .ok_or_else(|| format!("{label}: cell {i} ns_per_cycle is not a number"))?;
+            .ok_or_else(|| format!("cell {i} ns_per_cycle is not a number"))?;
         rows.push(CellRow {
             benchmark,
             config,
@@ -203,7 +206,7 @@ fn artifact_cells(label: &str, text: &str) -> Result<Vec<CellRow>, String> {
         });
     }
     if rows.is_empty() {
-        return Err(format!("{label}: artifact has no cells"));
+        return Err("artifact has no cells".to_string());
     }
     Ok(rows)
 }
@@ -243,8 +246,8 @@ pub fn compare_artifacts(
     new_text: &str,
     tolerance_pct: f64,
 ) -> Result<Comparison, String> {
-    let old = artifact_cells("old", old_text)?;
-    let new = artifact_cells("new", new_text)?;
+    let old = artifact_cells(old_text).map_err(|e| format!("old: {e}"))?;
+    let new = artifact_cells(new_text).map_err(|e| format!("new: {e}"))?;
     let probes = parse_json(new_text).map_or_else(|_| Vec::new(), |doc| artifact_probes(&doc));
     let mut deltas = Vec::new();
     let mut only_old = Vec::new();

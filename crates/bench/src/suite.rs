@@ -14,7 +14,7 @@
 
 use std::time::Instant;
 
-use tc_sim::harness::{presets, Json};
+use tc_sim::harness::{presets, Value};
 use tc_sim::{Processor, PromotionPlan, SimConfig, SimReport};
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
 
@@ -386,31 +386,31 @@ pub fn run_suite_planned(
 
 /// Serializes a suite to the `tw-bench/v1` schema.
 #[must_use]
-pub fn suite_to_json(suite: &BenchSuite) -> Json {
-    Json::Object(vec![
-        ("schema", Json::Str(SCHEMA.to_string())),
-        ("insts_per_cell", Json::UInt(suite.insts_per_cell)),
-        ("samples", Json::UInt(u64::from(suite.samples))),
+pub fn suite_to_json(suite: &BenchSuite) -> Value {
+    Value::object([
+        ("schema", Value::Str(SCHEMA.to_string())),
+        ("insts_per_cell", Value::UInt(suite.insts_per_cell)),
+        ("samples", Value::UInt(u64::from(suite.samples))),
         (
             "cells",
-            Json::Array(
+            Value::Array(
                 suite
                     .cells
                     .iter()
                     .map(|c| {
-                        Json::Object(vec![
-                            ("benchmark", Json::Str(c.benchmark.to_string())),
-                            ("config", Json::Str(c.config.to_string())),
-                            ("instructions", Json::UInt(c.instructions)),
-                            ("cycles", Json::UInt(c.cycles)),
-                            ("wall_ns", Json::UInt(c.wall_ns)),
-                            ("ns_per_cycle", Json::Float(c.ns_per_cycle())),
-                            ("instrs_per_sec", Json::Float(c.instrs_per_sec())),
-                            ("stream_insts", Json::UInt(c.stream_insts)),
-                            ("effective_mips", Json::Float(c.effective_mips())),
-                            ("fetch_rate", Json::Float(c.fetch_rate)),
-                            ("mispredict_rate", Json::Float(c.mispredict_rate)),
-                            ("promo_coverage", Json::Float(c.promo_coverage)),
+                        Value::object([
+                            ("benchmark", Value::Str(c.benchmark.to_string())),
+                            ("config", Value::Str(c.config.to_string())),
+                            ("instructions", Value::UInt(c.instructions)),
+                            ("cycles", Value::UInt(c.cycles)),
+                            ("wall_ns", Value::UInt(c.wall_ns)),
+                            ("ns_per_cycle", Value::Float(c.ns_per_cycle())),
+                            ("instrs_per_sec", Value::Float(c.instrs_per_sec())),
+                            ("stream_insts", Value::UInt(c.stream_insts)),
+                            ("effective_mips", Value::Float(c.effective_mips())),
+                            ("fetch_rate", Value::Float(c.fetch_rate)),
+                            ("mispredict_rate", Value::Float(c.mispredict_rate)),
+                            ("promo_coverage", Value::Float(c.promo_coverage)),
                         ])
                     })
                     .collect(),
@@ -418,41 +418,41 @@ pub fn suite_to_json(suite: &BenchSuite) -> Json {
         ),
         (
             "sampling_probes",
-            Json::Array(
+            Value::Array(
                 suite
                     .probes
                     .iter()
                     .map(|p| {
-                        Json::Object(vec![
-                            ("config", Json::Str(p.config.to_string())),
-                            ("benchmark", Json::Str(p.benchmark.to_string())),
-                            ("full_wall_ns", Json::UInt(p.full_wall_ns)),
-                            ("sampled_wall_ns", Json::UInt(p.sampled_wall_ns)),
-                            ("full_insts", Json::UInt(p.full_insts)),
-                            ("sampled_stream", Json::UInt(p.sampled_stream)),
-                            ("full_mips", Json::Float(p.full_mips())),
-                            ("sampled_mips", Json::Float(p.sampled_mips())),
-                            ("speedup", Json::Float(p.speedup())),
-                            ("full_fetch_rate", Json::Float(p.full_fetch_rate)),
-                            ("sampled_fetch_rate", Json::Float(p.sampled_fetch_rate)),
+                        Value::object([
+                            ("config", Value::Str(p.config.to_string())),
+                            ("benchmark", Value::Str(p.benchmark.to_string())),
+                            ("full_wall_ns", Value::UInt(p.full_wall_ns)),
+                            ("sampled_wall_ns", Value::UInt(p.sampled_wall_ns)),
+                            ("full_insts", Value::UInt(p.full_insts)),
+                            ("sampled_stream", Value::UInt(p.sampled_stream)),
+                            ("full_mips", Value::Float(p.full_mips())),
+                            ("sampled_mips", Value::Float(p.sampled_mips())),
+                            ("speedup", Value::Float(p.speedup())),
+                            ("full_fetch_rate", Value::Float(p.full_fetch_rate)),
+                            ("sampled_fetch_rate", Value::Float(p.sampled_fetch_rate)),
                             (
                                 "fetch_rate_delta_pct",
-                                Json::Float(p.fetch_rate_delta_pct()),
+                                Value::Float(p.fetch_rate_delta_pct()),
                             ),
-                            ("full_mispredict_rate", Json::Float(p.full_mispredict_rate)),
+                            ("full_mispredict_rate", Value::Float(p.full_mispredict_rate)),
                             (
                                 "sampled_mispredict_rate",
-                                Json::Float(p.sampled_mispredict_rate),
+                                Value::Float(p.sampled_mispredict_rate),
                             ),
-                            ("mispredict_delta_pp", Json::Float(p.mispredict_delta_pp())),
-                            ("full_promo_coverage", Json::Float(p.full_promo_coverage)),
+                            ("mispredict_delta_pp", Value::Float(p.mispredict_delta_pp())),
+                            ("full_promo_coverage", Value::Float(p.full_promo_coverage)),
                             (
                                 "sampled_promo_coverage",
-                                Json::Float(p.sampled_promo_coverage),
+                                Value::Float(p.sampled_promo_coverage),
                             ),
                             (
                                 "promo_coverage_delta_pp",
-                                Json::Float(p.promo_coverage_delta_pp()),
+                                Value::Float(p.promo_coverage_delta_pp()),
                             ),
                         ])
                     })
@@ -462,22 +462,14 @@ pub fn suite_to_json(suite: &BenchSuite) -> Json {
     ])
 }
 
-/// Checks that `text` is a structurally well-formed `tw-bench/v1`
-/// artifact with at least one populated cell.
+/// Checks that `text` parses as a `tw-bench/v1` artifact with at least
+/// one well-typed cell, reading it exactly as `tw bench --compare` does.
 ///
 /// # Errors
 ///
 /// Returns a description of the first problem found.
 pub fn check_artifact(text: &str) -> Result<(), String> {
-    tc_sim::harness::check_well_formed(text)?;
-    let compact: String = text.chars().filter(|c| !c.is_whitespace()).collect();
-    if !compact.contains(&format!("\"schema\":\"{SCHEMA}\"")) {
-        return Err(format!("missing schema marker {SCHEMA:?}"));
-    }
-    if !compact.contains("\"benchmark\":") || !compact.contains("\"ns_per_cycle\":") {
-        return Err("no populated cells found".to_string());
-    }
-    Ok(())
+    crate::compare::artifact_cells(text).map(|_| ())
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Fast functional dispatch: predecoded straight-line blocks let the
-//! machine fast-forward at full interpreter speed without materialising a
-//! per-step [`crate::ExecRecord`].
+//! machine fast-forward without materialising a per-step
+//! [`crate::ExecRecord`].
 //!
 //! The timing simulator consumes the dynamic instruction stream one
 //! [`crate::ExecRecord`] at a time, which is exactly right when every
@@ -8,20 +8,19 @@
 //! needs to *skip ahead* (fast-forward before a sampled measurement
 //! window, or to build a checkpoint). [`BlockCache`] predecodes a program
 //! into straight-line runs; [`Machine::fast_forward`] then executes whole
-//! runs in a tight loop with no per-instruction next-PC resolution, no
-//! bounds re-checks on fall-through, and no record construction.
+//! runs in a tight loop, committing the PC and retired count once per run
+//! instead of once per instruction, and building no records.
 //!
-//! The fast path is *architecturally bit-identical* to stepping: after
-//! `fast_forward(p, &blocks, n)` the machine's registers, memory, PC,
-//! retired count, and halt flag are exactly what `n` calls of
-//! [`Machine::step`] would have produced, including the state at which an
-//! [`ExecError`] is raised. The equivalence tests below drive both paths
-//! in lockstep.
+//! There is one ISA semantics: every instruction, stepped or
+//! fast-forwarded, goes through the same `Machine::exec`. Batching is the
+//! only difference, so after `fast_forward(p, &blocks, n)` the machine's
+//! registers, memory, PC, retired count and halt flag are exactly what
+//! `n` calls of [`Machine::step`] would have produced, including the
+//! state at which an [`ExecError`] is raised.
 
 use crate::instr::Instr;
 use crate::interp::{ExecError, Machine};
 use crate::program::{Addr, Program};
-use crate::reg::Reg;
 
 /// Whether `instr` ends a straight-line run: any instruction that can
 /// redirect the PC away from `pc + 1`, plus `halt`. Traps and nops fall
@@ -126,142 +125,33 @@ impl Machine {
             let Some(run) = blocks.run_len(pc) else {
                 return Err(ExecError::PcOutOfRange { pc });
             };
-            let remaining = max_insts - executed;
-            if u64::from(run) > remaining {
-                // Budget expires inside the run: the prefix is pure
-                // straight-line code (the run's only possible ender is its
-                // tail), so execute exactly `remaining` and stop.
-                let n = remaining as usize;
-                self.run_straight(pc, &instrs[pc.index()..pc.index() + n])?;
-                executed += remaining;
-                break;
-            }
-            // Whole run: straight-line prefix, then the tail with full
-            // step semantics (control resolution, halt, range check).
-            let n = run as usize;
-            self.run_straight(pc, &instrs[pc.index()..pc.index() + n - 1])?;
-            executed += u64::from(run) - 1;
-            if self.step_tail(program, instrs[pc.index() + n - 1])? {
-                executed += 1;
-            }
-        }
-        Ok(executed)
-    }
-
-    /// Executes a straight-line slice of instructions starting at `pc`.
-    /// Every instruction is known to fall through inside the program, so
-    /// the PC advances by `window.len()` in one commit.
-    ///
-    /// On a memory fault, state is fixed up to match stepwise execution:
-    /// PC at the faulting instruction, earlier instructions retired.
-    fn run_straight(&mut self, pc: Addr, window: &[Instr]) -> Result<(), ExecError> {
-        for (k, &instr) in window.iter().enumerate() {
-            if let Err(e) = self.exec_straight(pc.offset(k as u32), instr) {
-                self.commit_straight(pc.offset(k as u32), k as u64);
-                return Err(e);
-            }
-        }
-        self.commit_straight(pc.offset(window.len() as u32), window.len() as u64);
-        Ok(())
-    }
-
-    /// Executes one known-fall-through instruction without touching PC or
-    /// the retired counter (batched by the caller).
-    #[inline]
-    fn exec_straight(&mut self, pc: Addr, instr: Instr) -> Result<(), ExecError> {
-        match instr {
-            Instr::Alu { op, rd, rs1, rs2 } => {
-                let v = op.eval(self.reg(rs1), self.reg(rs2));
-                self.set_reg(rd, v);
-            }
-            Instr::AluImm { op, rd, rs1, imm } => {
-                let v = op.eval(self.reg(rs1), imm as i64 as u64);
-                self.set_reg(rd, v);
-            }
-            Instr::Li { rd, imm } => self.set_reg(rd, imm as i64 as u64),
-            Instr::Load { rd, base, offset } => {
-                let addr = self.data_addr(pc, base, offset)?;
-                let v = self.mem(addr);
-                self.set_reg(rd, v);
-            }
-            Instr::Store { src, base, offset } => {
-                let addr = self.data_addr(pc, base, offset)?;
-                let v = self.reg(src);
-                self.set_mem(addr, v);
-            }
-            Instr::LoadN {
-                rd,
-                base,
-                offset,
-                width,
-                signed,
-            } => {
-                let addr = self.narrow_addr(pc, base, offset, width)?;
-                let v = self.narrow_load(addr, width, signed);
-                self.set_reg(rd, v);
-            }
-            Instr::StoreN {
-                src,
-                base,
-                offset,
-                width,
-            } => {
-                let addr = self.narrow_addr(pc, base, offset, width)?;
-                let v = self.reg(src);
-                self.narrow_store(addr, width, v);
-            }
-            Instr::Trap { .. } | Instr::Nop => {}
-            // `BlockCache` construction guarantees straight-line windows
-            // contain no control transfers or halts.
-            _ => unreachable!("control instruction inside straight-line run"),
-        }
-        Ok(())
-    }
-
-    /// Executes the run's tail instruction with the exact semantics of
-    /// [`Machine::step`]. Returns whether an instruction retired (`false`
-    /// for `halt`).
-    fn step_tail(&mut self, program: &Program, instr: Instr) -> Result<bool, ExecError> {
-        let pc = self.pc();
-        let mut next_pc = pc.next();
-        match instr {
-            Instr::Branch {
-                cond,
-                rs1,
-                rs2,
-                target,
-            } => {
-                if cond.eval(self.reg(rs1), self.reg(rs2)) {
-                    next_pc = target;
+            // The budget may expire inside the run. Every instruction
+            // before the run's tail falls through inside the program, so
+            // only the last one's next PC needs resolving.
+            let n = u64::from(run).min(max_insts - executed);
+            let mut next_pc = pc;
+            for (k, &instr) in instrs[pc.index()..pc.index() + n as usize]
+                .iter()
+                .enumerate()
+            {
+                let at = pc.offset(k as u32);
+                match self.exec(at, instr) {
+                    Ok(Some(effect)) => next_pc = effect.next_pc,
+                    // A fault, or a `halt`, which does not retire.
+                    stop => {
+                        self.commit(at, k as u64);
+                        return stop.map(|_| executed + k as u64);
+                    }
                 }
             }
-            Instr::Jump { target } => next_pc = target,
-            Instr::Call { target } => {
-                self.set_reg(Reg::RA, u64::from(pc.next()));
-                next_pc = target;
+            if next_pc.index() >= program.len() {
+                self.commit(pc.offset(n as u32 - 1), n - 1);
+                return Err(ExecError::PcOutOfRange { pc: next_pc });
             }
-            Instr::Ret => next_pc = Addr::new(self.reg(Reg::RA) as u32),
-            Instr::JumpInd { base } => next_pc = Addr::new(self.reg(base) as u32),
-            Instr::CallInd { base } => {
-                let target = Addr::new(self.reg(base) as u32);
-                self.set_reg(Reg::RA, u64::from(pc.next()));
-                next_pc = target;
-            }
-            Instr::Halt => {
-                self.set_halted();
-                return Ok(false);
-            }
-            // Straight-line tails (run truncated by the end of the
-            // program) share step's fall-through handling.
-            other => {
-                self.exec_straight(pc, other)?;
-            }
+            self.commit(next_pc, n);
+            executed += n;
         }
-        if next_pc.index() >= program.len() {
-            return Err(ExecError::PcOutOfRange { pc: next_pc });
-        }
-        self.commit_straight(next_pc, 1);
-        Ok(true)
+        Ok(executed)
     }
 }
 
@@ -271,6 +161,7 @@ mod tests {
     use crate::asm::ProgramBuilder;
     use crate::instr::Cond;
     use crate::interp::StepOutcome;
+    use crate::reg::Reg;
 
     /// A program exercising every run shape: loops, calls/returns,
     /// indirect jumps, memory traffic, traps.
@@ -397,6 +288,44 @@ mod tests {
         assert_eq!(slow.pc(), fast.pc());
         assert_eq!(slow.retired(), fast.retired());
         assert_eq!(fast.retired(), 2);
+    }
+
+    /// The run's tail is an ordinary instruction whose fall-through
+    /// leaves the program: both paths must raise the same
+    /// `PcOutOfRange` from the same state, whatever the budget.
+    #[test]
+    fn falling_off_the_end_faults_like_step() {
+        let mut b = ProgramBuilder::new();
+        b.li(Reg::T0, 5)
+            .addi(Reg::T1, Reg::T0, 2)
+            .store(Reg::T1, Reg::GP, 3)
+            .add(Reg::T2, Reg::T0, Reg::T1);
+        let p = b.build().unwrap();
+        let blocks = BlockCache::new(&p);
+
+        let mut slow = Machine::new(p.entry(), 64);
+        let slow_err = loop {
+            if let Err(e) = slow.step(&p) {
+                break e;
+            }
+        };
+        assert_eq!(slow_err, ExecError::PcOutOfRange { pc: Addr::new(4) });
+        for budget in [1, 2, 3, 4, 1_000] {
+            let mut fast = Machine::new(p.entry(), 64);
+            let fast_err = loop {
+                if let Err(e) = fast.fast_forward(&p, &blocks, budget) {
+                    break e;
+                }
+            };
+            assert_eq!(slow_err, fast_err, "budget {budget}");
+            assert_eq!(slow.pc(), fast.pc(), "budget {budget}");
+            assert_eq!(slow.retired(), fast.retired(), "budget {budget}");
+            assert_eq!(slow.regs(), fast.regs(), "budget {budget}");
+            assert_eq!(slow.memory(), fast.memory(), "budget {budget}");
+        }
+        assert_eq!(slow.pc(), Addr::new(3));
+        assert_eq!(slow.retired(), 3);
+        assert_eq!(slow.reg(Reg::T2), 12);
     }
 
     #[test]

@@ -80,6 +80,18 @@ pub struct Machine {
     halted: bool,
 }
 
+/// What [`Machine::exec`] reports about one instruction besides its
+/// register and memory writes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Effect {
+    /// Where control goes next (not yet range-checked).
+    pub(crate) next_pc: Addr,
+    /// Whether a conditional branch was taken.
+    pub(crate) taken: bool,
+    /// The data-memory word a load or store touched.
+    pub(crate) mem_addr: Option<u64>,
+}
+
 /// Result of a single interpreter step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StepOutcome {
@@ -207,19 +219,15 @@ impl Machine {
         &self.mem
     }
 
-    /// Marks the machine halted (fast-path executor helper).
-    pub(crate) fn set_halted(&mut self) {
-        self.halted = true;
-    }
-
-    /// Batched PC/retired commit for the fast-path executor: jumps the PC
-    /// to `pc` and credits `count` retired instructions.
-    pub(crate) fn commit_straight(&mut self, pc: Addr, count: u64) {
+    /// Jumps the PC to `pc` and credits `count` retired instructions:
+    /// once per instruction from [`Machine::step`], once per
+    /// straight-line run from [`Machine::fast_forward`].
+    pub(crate) fn commit(&mut self, pc: Addr, count: u64) {
         self.pc = pc;
         self.retired += count;
     }
 
-    pub(crate) fn data_addr(&self, pc: Addr, base: Reg, offset: i32) -> Result<u64, ExecError> {
+    fn data_addr(&self, pc: Addr, base: Reg, offset: i32) -> Result<u64, ExecError> {
         let addr = self.reg(base).wrapping_add(offset as i64 as u64);
         if (addr as usize) < self.mem.len() {
             Ok(addr)
@@ -236,7 +244,7 @@ impl Machine {
     /// alignment and bounds. Data memory is viewed as little-endian
     /// bytes packed eight to a word, so a naturally-aligned access never
     /// spans two backing words.
-    pub(crate) fn narrow_addr(
+    fn narrow_addr(
         &self,
         pc: Addr,
         base: Reg,
@@ -260,7 +268,7 @@ impl Machine {
     }
 
     /// Reads a naturally-aligned narrow value at byte address `addr`.
-    pub(crate) fn narrow_load(&self, addr: u64, width: MemWidth, signed: bool) -> u64 {
+    fn narrow_load(&self, addr: u64, width: MemWidth, signed: bool) -> u64 {
         let word = self.mem[(addr >> 3) as usize];
         let lane = (word >> ((addr & 7) * 8)) & lane_mask(width);
         match (width, signed) {
@@ -274,30 +282,25 @@ impl Machine {
     }
 
     /// Writes the low `width` bytes of `value` at byte address `addr`.
-    pub(crate) fn narrow_store(&mut self, addr: u64, width: MemWidth, value: u64) {
+    fn narrow_store(&mut self, addr: u64, width: MemWidth, value: u64) {
         let shift = (addr & 7) * 8;
         let mask = lane_mask(width) << shift;
         let slot = &mut self.mem[(addr >> 3) as usize];
         *slot = (*slot & !mask) | ((value << shift) & mask);
     }
 
-    /// Executes one instruction of `program`.
+    /// Executes `instr` at `pc`: the one definition of the ISA's
+    /// semantics. Writes registers and memory but neither the PC nor the
+    /// retired count, which the caller commits. Returns `None` for
+    /// `halt`, after setting the halt flag.
     ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError`] if the PC leaves the program or a memory
-    /// access is out of bounds.
-    pub fn step(&mut self, program: &Program) -> Result<StepOutcome, ExecError> {
-        if self.halted {
-            return Ok(StepOutcome::Halted);
-        }
-        let pc = self.pc;
-        let instr = program.fetch(pc).ok_or(ExecError::PcOutOfRange { pc })?;
-
+    /// Faults are raised before any state is written, so a faulting
+    /// instruction leaves the machine as it found it.
+    #[inline(always)]
+    pub(crate) fn exec(&mut self, pc: Addr, instr: Instr) -> Result<Option<Effect>, ExecError> {
         let mut next_pc = pc.next();
         let mut taken = false;
         let mut mem_addr = None;
-
         match instr {
             Instr::Alu { op, rd, rs1, rs2 } => {
                 let v = op.eval(self.reg(rs1), self.reg(rs2));
@@ -368,16 +371,40 @@ impl Machine {
             Instr::Trap { .. } | Instr::Nop => {}
             Instr::Halt => {
                 self.halted = true;
-                return Ok(StepOutcome::Halted);
+                return Ok(None);
             }
         }
+        Ok(Some(Effect {
+            next_pc,
+            taken,
+            mem_addr,
+        }))
+    }
 
+    /// Executes one instruction of `program`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecError`] if the PC leaves the program or a memory
+    /// access is out of bounds.
+    pub fn step(&mut self, program: &Program) -> Result<StepOutcome, ExecError> {
+        if self.halted {
+            return Ok(StepOutcome::Halted);
+        }
+        let pc = self.pc;
+        let instr = program.fetch(pc).ok_or(ExecError::PcOutOfRange { pc })?;
+        let Some(Effect {
+            next_pc,
+            taken,
+            mem_addr,
+        }) = self.exec(pc, instr)?
+        else {
+            return Ok(StepOutcome::Halted);
+        };
         if next_pc.index() >= program.len() {
             return Err(ExecError::PcOutOfRange { pc: next_pc });
         }
-
-        self.pc = next_pc;
-        self.retired += 1;
+        self.commit(next_pc, 1);
         Ok(StepOutcome::Executed(ExecRecord {
             pc,
             instr,

@@ -8,11 +8,8 @@
 //!
 //! The format rides the workspace's hand-rolled JSON layer
 //! ([`json`](super::json) to write, [`parse`](super::parse) to read).
-//! The reader stores numbers as `f64`, which holds integers exactly
-//! only up to 2^53 — register and memory words are full 64-bit values,
-//! so they are written as `"0x…"` hex *strings* and round-trip
-//! bit-identically. Addresses and counts that are structurally below
-//! 2^32 stay plain numbers.
+//! Register and memory words and the retired count are written as
+//! `"0x…"` hex *strings*; addresses and sizes are plain numbers.
 //!
 //! Memory is stored sparsely: runs of consecutive non-zero words as
 //! `[base, [words…]]` pairs. Workload images touch a small fraction of
@@ -24,8 +21,8 @@ use tc_isa::{Addr, Machine, Reg};
 use tc_workloads::Workload;
 
 use super::error::TwError;
-use super::json::Json;
-use super::parse::{parse_json, Value};
+use super::json::Value;
+use super::parse::parse_json;
 
 /// Format marker of the checkpoint schema this module reads and
 /// writes.
@@ -84,27 +81,27 @@ impl Checkpoint {
 
     /// The structured (`tw-ckpt/v1`) form of this checkpoint.
     #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("format", Json::Str(CHECKPOINT_FORMAT.to_owned())),
-            ("workload", Json::Str(self.workload.clone())),
-            ("pc", Json::UInt(u64::from(self.pc))),
-            ("retired", Json::Str(hex(self.retired))),
-            ("halted", Json::Bool(self.halted)),
-            ("mem_words", Json::UInt(self.mem_words as u64)),
+    pub fn to_json(&self) -> Value {
+        Value::object([
+            ("format", Value::Str(CHECKPOINT_FORMAT.to_owned())),
+            ("workload", Value::Str(self.workload.clone())),
+            ("pc", Value::UInt(u64::from(self.pc))),
+            ("retired", Value::Str(hex(self.retired))),
+            ("halted", Value::Bool(self.halted)),
+            ("mem_words", Value::UInt(self.mem_words as u64)),
             (
                 "regs",
-                Json::Array(self.regs.iter().map(|&v| Json::Str(hex(v))).collect()),
+                Value::Array(self.regs.iter().map(|&v| Value::Str(hex(v))).collect()),
             ),
             (
                 "mem",
-                Json::Array(
+                Value::Array(
                     self.mem
                         .iter()
                         .map(|(base, words)| {
-                            Json::Array(vec![
-                                Json::UInt(*base as u64),
-                                Json::Array(words.iter().map(|&w| Json::Str(hex(w))).collect()),
+                            Value::Array(vec![
+                                Value::UInt(*base as u64),
+                                Value::Array(words.iter().map(|&w| Value::Str(hex(w))).collect()),
                             ])
                         })
                         .collect(),
@@ -217,8 +214,10 @@ pub fn parse_checkpoint(text: &str) -> Result<Checkpoint, TwError> {
             .as_array()
             .filter(|p| p.len() == 2)
             .ok_or_else(|| TwError::runtime("memory run is not a [base, words] pair".to_owned()))?;
-        let base = usize::try_from(value_index(&pair[0], "memory base")?)
-            .map_err(|_| TwError::runtime("memory base does not fit".to_owned()))?;
+        let base = pair[0]
+            .as_u64()
+            .and_then(|b| usize::try_from(b).ok())
+            .ok_or_else(|| TwError::runtime("memory base is not a valid index".to_owned()))?;
         let words_v = pair[1]
             .as_array()
             .ok_or_else(|| TwError::runtime("memory words is not an array".to_owned()))?;
@@ -253,36 +252,10 @@ fn field_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, TwError> {
         .ok_or_else(|| missing(key, "a string"))
 }
 
-/// Reads a field that must be a non-negative integer small enough to
-/// be exact in `f64` (addresses and sizes, not data words).
 fn field_index(v: &Value, key: &str) -> Result<u64, TwError> {
-    let f = v
-        .get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| missing(key, "a number"))?;
-    float_index(f).ok_or_else(|| {
-        TwError::runtime(format!(
-            "checkpoint field '{key}' is not a whole non-negative integer"
-        ))
-    })
-}
-
-fn value_index(v: &Value, what: &str) -> Result<u64, TwError> {
-    let f = v
-        .as_f64()
-        .ok_or_else(|| TwError::runtime(format!("{what} is not a number")))?;
-    float_index(f)
-        .ok_or_else(|| TwError::runtime(format!("{what} is not a whole non-negative integer")))
-}
-
-fn float_index(f: f64) -> Option<u64> {
-    // 2^53: beyond this an f64 no longer represents every integer, so
-    // the value may already have been silently rounded by the parser.
-    if f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f <= 9_007_199_254_740_992.0 {
-        Some(f as u64)
-    } else {
-        None
-    }
+    v.get(key)
+        .and_then(Value::as_u64)
+        .ok_or_else(|| missing(key, "a non-negative integer"))
 }
 
 fn parse_hex(s: &str, what: &str) -> Result<u64, TwError> {
@@ -321,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn large_words_survive_the_f64_parser() {
+    fn large_words_round_trip_exactly() {
         let workload = Benchmark::Compress.build_scaled(2);
         let mut machine = workload.machine();
         let program = workload.program();

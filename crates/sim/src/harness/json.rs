@@ -1,35 +1,51 @@
-//! A hand-rolled JSON emitter for simulation reports.
+//! The harness's one JSON value type: every report, artifact and wire
+//! body is built as a [`Value`] and rendered here, and every document
+//! read back is parsed into the same type ([`super::parse`]).
 //!
-//! The workspace builds offline with no external crates, so structured
-//! output is produced by this small, dependency-free serializer. Object
-//! keys keep insertion order, making the schema stable and goldenable;
-//! non-finite floats are emitted as `null` (JSON has no NaN/Inf), and a
-//! test asserts every numeric field of a real report is finite.
+//! The workspace builds offline with no external crates, so this is a
+//! small hand-rolled layer. Object keys keep insertion order, making the
+//! schema stable and goldenable; non-finite floats are emitted as `null`
+//! (JSON has no NaN/Inf), and a test asserts every numeric field of a
+//! real report is finite.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::report::SimReport;
 
 /// A JSON value with order-preserving objects.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Json {
+pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer (covers every counter in a report).
+    /// A non-negative integer: every counter the harness emits, and
+    /// every non-negative integer literal that fits when parsing.
     UInt(u64),
-    /// A floating-point number; non-finite values render as `null`.
+    /// Any other number; non-finite values render as `null`.
     Float(f64),
     /// A string.
     Str(String),
     /// An array.
-    Array(Vec<Json>),
-    /// An object whose keys keep insertion order.
-    Object(Vec<(&'static str, Json)>),
+    Array(Vec<Value>),
+    /// An object whose keys keep insertion order (parsed duplicates are
+    /// kept as-is). Emitters use static keys; parsed keys are owned.
+    Object(Vec<(Cow<'static, str>, Value)>),
 }
 
-impl Json {
+impl Value {
+    /// An object with static keys, in the given order.
+    #[must_use]
+    pub fn object(fields: impl IntoIterator<Item = (&'static str, Value)>) -> Value {
+        Value::Object(
+            fields
+                .into_iter()
+                .map(|(k, v)| (Cow::Borrowed(k), v))
+                .collect(),
+        )
+    }
+
     /// Renders compact JSON (no insignificant whitespace).
     #[must_use]
     pub fn render(&self) -> String {
@@ -46,25 +62,72 @@ impl Json {
         out
     }
 
-    /// Looks up a key of an object value.
+    /// Member lookup on objects; `None` elsewhere or when absent.
     #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v),
+            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// The string contents, if this is a string.
+    #[must_use]
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    #[must_use]
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::UInt(n) => Some(*n as f64),
+            Value::Float(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// The value as an exact unsigned integer: `Some` only for an
+    /// integer, never for a float that merely looks whole.
+    #[must_use]
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Value::UInt(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is `true` or `false`.
+    #[must_use]
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    #[must_use]
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(items) => Some(items),
             _ => None,
         }
     }
 
     fn write(&self, out: &mut String) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::UInt(n) => {
+            Value::Null => out.push_str("null"),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Value::UInt(n) => {
                 let _ = write!(out, "{n}");
             }
-            Json::Float(x) => write_f64(out, *x),
-            Json::Str(s) => write_escaped(out, s),
-            Json::Array(items) => {
+            Value::Float(x) => write_f64(out, *x),
+            Value::Str(s) => write_escaped(out, s),
+            Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
@@ -74,7 +137,7 @@ impl Json {
                 }
                 out.push(']');
             }
-            Json::Object(fields) => {
+            Value::Object(fields) => {
                 out.push('{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
@@ -91,7 +154,7 @@ impl Json {
 
     fn write_pretty(&self, out: &mut String, depth: usize) {
         match self {
-            Json::Array(items) if !items.is_empty() => {
+            Value::Array(items) if !items.is_empty() => {
                 out.push_str("[\n");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
@@ -104,7 +167,7 @@ impl Json {
                 indent(out, depth);
                 out.push(']');
             }
-            Json::Object(fields) if !fields.is_empty() => {
+            Value::Object(fields) if !fields.is_empty() => {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
@@ -163,86 +226,89 @@ fn write_escaped(out: &mut String, s: &str) {
 /// The key set is part of the tool's public interface: the `harness`
 /// golden test pins it, so extend it additively.
 #[must_use]
-pub fn report_to_json(r: &SimReport) -> Json {
+pub fn report_to_json(r: &SimReport) -> Value {
     let (p01, p2, p3) = r.fetch.prediction_demand();
     let trace_cache = match &r.trace_cache {
-        None => Json::Null,
-        Some(tc) => Json::Object(vec![
-            ("hits", Json::UInt(tc.hits)),
-            ("misses", Json::UInt(tc.misses)),
-            ("fills", Json::UInt(tc.fills)),
-            ("evictions", Json::UInt(tc.evictions)),
-            ("duplicate_fills", Json::UInt(tc.duplicate_fills)),
-            ("miss_ratio", Json::Float(tc.miss_ratio())),
+        None => Value::Null,
+        Some(tc) => Value::object([
+            ("hits", Value::UInt(tc.hits)),
+            ("misses", Value::UInt(tc.misses)),
+            ("fills", Value::UInt(tc.fills)),
+            ("evictions", Value::UInt(tc.evictions)),
+            ("duplicate_fills", Value::UInt(tc.duplicate_fills)),
+            ("miss_ratio", Value::Float(tc.miss_ratio())),
         ]),
     };
     let promotions = match r.promotions {
-        None => Json::Null,
-        Some((promoted, demoted)) => Json::Object(vec![
-            ("promotions", Json::UInt(promoted)),
-            ("demotions", Json::UInt(demoted)),
+        None => Value::Null,
+        Some((promoted, demoted)) => Value::object([
+            ("promotions", Value::UInt(promoted)),
+            ("demotions", Value::UInt(demoted)),
         ]),
     };
     let cache = |s: &tc_cache::CacheStats| {
-        Json::Object(vec![
-            ("hits", Json::UInt(s.hits)),
-            ("misses", Json::UInt(s.misses)),
-            ("evictions", Json::UInt(s.evictions)),
-            ("miss_ratio", Json::Float(s.miss_ratio())),
+        Value::object([
+            ("hits", Value::UInt(s.hits)),
+            ("misses", Value::UInt(s.misses)),
+            ("evictions", Value::UInt(s.evictions)),
+            ("miss_ratio", Value::Float(s.miss_ratio())),
         ])
     };
     let mut fields = vec![
-        ("benchmark", Json::Str(r.benchmark.clone())),
-        ("config", Json::Str(r.config.clone())),
-        ("instructions", Json::UInt(r.instructions)),
-        ("cycles", Json::UInt(r.cycles)),
-        ("ipc", Json::Float(r.ipc())),
+        ("benchmark", Value::Str(r.benchmark.clone())),
+        ("config", Value::Str(r.config.clone())),
+        ("instructions", Value::UInt(r.instructions)),
+        ("cycles", Value::UInt(r.cycles)),
+        ("ipc", Value::Float(r.ipc())),
         (
             "effective_fetch_rate",
-            Json::Float(r.effective_fetch_rate()),
+            Value::Float(r.effective_fetch_rate()),
         ),
         (
             "cond_mispredict_rate",
-            Json::Float(r.cond_mispredict_rate()),
+            Value::Float(r.cond_mispredict_rate()),
         ),
-        ("avg_resolution_time", Json::Float(r.avg_resolution_time())),
-        ("cond_branches", Json::UInt(r.cond_branches)),
-        ("cond_mispredicts", Json::UInt(r.cond_mispredicts)),
-        ("promoted_executed", Json::UInt(r.promoted_executed)),
-        ("promoted_faults", Json::UInt(r.promoted_faults)),
-        ("indirect_executed", Json::UInt(r.indirect_executed)),
-        ("indirect_mispredicts", Json::UInt(r.indirect_mispredicts)),
-        ("return_mispredicts", Json::UInt(r.return_mispredicts)),
-        ("salvaged", Json::UInt(r.salvaged)),
+        ("avg_resolution_time", Value::Float(r.avg_resolution_time())),
+        ("cond_branches", Value::UInt(r.cond_branches)),
+        ("cond_mispredicts", Value::UInt(r.cond_mispredicts)),
+        ("promoted_executed", Value::UInt(r.promoted_executed)),
+        ("promoted_faults", Value::UInt(r.promoted_faults)),
+        ("indirect_executed", Value::UInt(r.indirect_executed)),
+        ("indirect_mispredicts", Value::UInt(r.indirect_mispredicts)),
+        ("return_mispredicts", Value::UInt(r.return_mispredicts)),
+        ("salvaged", Value::UInt(r.salvaged)),
         (
             "accounting",
-            Json::Object(vec![
-                ("useful_fetch", Json::UInt(r.accounting.useful_fetch)),
-                ("branch_misses", Json::UInt(r.accounting.branch_misses)),
-                ("cache_misses", Json::UInt(r.accounting.cache_misses)),
-                ("full_window", Json::UInt(r.accounting.full_window)),
-                ("traps", Json::UInt(r.accounting.traps)),
-                ("misfetches", Json::UInt(r.accounting.misfetches)),
+            Value::object([
+                ("useful_fetch", Value::UInt(r.accounting.useful_fetch)),
+                ("branch_misses", Value::UInt(r.accounting.branch_misses)),
+                ("cache_misses", Value::UInt(r.accounting.cache_misses)),
+                ("full_window", Value::UInt(r.accounting.full_window)),
+                ("traps", Value::UInt(r.accounting.traps)),
+                ("misfetches", Value::UInt(r.accounting.misfetches)),
                 (
                     "unaccounted",
-                    Json::UInt(r.cycles.saturating_sub(r.accounting.total())),
+                    Value::UInt(r.cycles.saturating_sub(r.accounting.total())),
                 ),
             ]),
         ),
         (
             "fetch",
-            Json::Object(vec![
-                ("productive_fetches", Json::UInt(r.fetch.productive_fetches)),
+            Value::object([
+                (
+                    "productive_fetches",
+                    Value::UInt(r.fetch.productive_fetches),
+                ),
                 (
                     "correct_instructions",
-                    Json::UInt(r.fetch.correct_instructions),
+                    Value::UInt(r.fetch.correct_instructions),
                 ),
-                ("tc_fetches", Json::UInt(r.fetch.tc_fetches)),
-                ("icache_fetches", Json::UInt(r.fetch.icache_fetches)),
-                ("promoted_fetched", Json::UInt(r.fetch.promoted_fetched)),
+                ("tc_fetches", Value::UInt(r.fetch.tc_fetches)),
+                ("icache_fetches", Value::UInt(r.fetch.icache_fetches)),
+                ("promoted_fetched", Value::UInt(r.fetch.promoted_fetched)),
                 (
                     "prediction_demand",
-                    Json::Array(vec![Json::Float(p01), Json::Float(p2), Json::Float(p3)]),
+                    Value::Array(vec![Value::Float(p01), Value::Float(p2), Value::Float(p3)]),
                 ),
             ]),
         ),
@@ -250,7 +316,7 @@ pub fn report_to_json(r: &SimReport) -> Json {
         ("promotions", promotions),
         (
             "caches",
-            Json::Object(vec![
+            Value::object([
                 ("icache", cache(&r.icache)),
                 ("dcache", cache(&r.dcache)),
                 ("l2", cache(&r.l2)),
@@ -258,21 +324,21 @@ pub fn report_to_json(r: &SimReport) -> Json {
         ),
         (
             "engine",
-            Json::Object(vec![
-                ("issued", Json::UInt(r.engine.issued)),
-                ("loads", Json::UInt(r.engine.loads)),
-                ("stores", Json::UInt(r.engine.stores)),
-                ("wait_cycles", Json::UInt(r.engine.wait_cycles)),
+            Value::object([
+                ("issued", Value::UInt(r.engine.issued)),
+                ("loads", Value::UInt(r.engine.loads)),
+                ("stores", Value::UInt(r.engine.stores)),
+                ("wait_cycles", Value::UInt(r.engine.wait_cycles)),
             ]),
         ),
         (
             "sanitizer",
-            Json::Object(vec![
-                ("enabled", Json::Bool(r.sanitizer.enabled)),
-                ("checked_fills", Json::UInt(r.sanitizer.checked_fills)),
-                ("checked_hits", Json::UInt(r.sanitizer.checked_hits)),
-                ("errors", Json::UInt(r.sanitizer.errors)),
-                ("warnings", Json::UInt(r.sanitizer.warnings)),
+            Value::object([
+                ("enabled", Value::Bool(r.sanitizer.enabled)),
+                ("checked_fills", Value::UInt(r.sanitizer.checked_fills)),
+                ("checked_hits", Value::UInt(r.sanitizer.checked_hits)),
+                ("errors", Value::UInt(r.sanitizer.errors)),
+                ("warnings", Value::UInt(r.sanitizer.warnings)),
             ]),
         ),
     ];
@@ -283,12 +349,12 @@ pub fn report_to_json(r: &SimReport) -> Json {
     if let Some(f) = &r.fault {
         fields.push((
             "fault",
-            Json::Object(vec![
-                ("injected", Json::UInt(f.injected)),
-                ("detected", Json::UInt(f.detected)),
-                ("recovered", Json::UInt(f.recovered)),
-                ("escaped", Json::UInt(f.escaped)),
-                ("recovery_cycles", Json::UInt(f.recovery_cycles)),
+            Value::object([
+                ("injected", Value::UInt(f.injected)),
+                ("detected", Value::UInt(f.detected)),
+                ("recovered", Value::UInt(f.recovered)),
+                ("escaped", Value::UInt(f.escaped)),
+                ("recovery_cycles", Value::UInt(f.recovery_cycles)),
             ]),
         ));
     }
@@ -300,13 +366,13 @@ pub fn report_to_json(r: &SimReport) -> Json {
     if let Some(s) = &r.sampling {
         fields.push((
             "sampling",
-            Json::Object(vec![
-                ("fast_forwarded", Json::UInt(s.fast_forwarded)),
-                ("warmed", Json::UInt(s.warmed)),
-                ("measured", Json::UInt(s.measured)),
-                ("windows", Json::UInt(s.windows)),
-                ("total_stream", Json::UInt(s.total_stream)),
-                ("timed_fraction", Json::Float(s.timed_fraction())),
+            Value::object([
+                ("fast_forwarded", Value::UInt(s.fast_forwarded)),
+                ("warmed", Value::UInt(s.warmed)),
+                ("measured", Value::UInt(s.measured)),
+                ("windows", Value::UInt(s.windows)),
+                ("total_stream", Value::UInt(s.total_stream)),
+                ("timed_fraction", Value::Float(s.timed_fraction())),
             ]),
         ));
     }
@@ -314,20 +380,19 @@ pub fn report_to_json(r: &SimReport) -> Json {
     // reports keep the exact pre-plan key set.
     if let Some(p) = &r.plan {
         let class = |counts: &[u64; 4]| {
-            Json::Object(
+            Value::object(
                 tc_predict::BranchClass::ALL
                     .into_iter()
-                    .map(|c| (c.name(), Json::UInt(counts[c.index()])))
-                    .collect(),
+                    .map(|c| (c.name(), Value::UInt(counts[c.index()]))),
             )
         };
         fields.push((
             "plan",
-            Json::Object(vec![
-                ("workload", Json::Str(p.workload.clone())),
-                ("profiled_instructions", Json::UInt(p.profiled_insts)),
-                ("entries", Json::UInt(p.entries)),
-                ("never_promote", Json::UInt(p.never_promote)),
+            Value::object([
+                ("workload", Value::Str(p.workload.clone())),
+                ("profiled_instructions", Value::UInt(p.profiled_insts)),
+                ("entries", Value::UInt(p.entries)),
+                ("never_promote", Value::UInt(p.never_promote)),
                 ("class_branches", class(&p.class_branches)),
                 ("class_execs", class(&p.class_execs)),
                 ("class_promoted", class(&p.class_promoted)),
@@ -336,104 +401,30 @@ pub fn report_to_json(r: &SimReport) -> Json {
             ]),
         ));
     }
-    Json::Object(fields)
+    Value::object(fields)
 }
 
 /// The structured form of a [`tc_trace::TraceSummary`]: overall ring
 /// accounting plus non-zero per-kind event counts.
 #[must_use]
-pub fn trace_summary_to_json(t: &tc_trace::TraceSummary) -> Json {
+pub fn trace_summary_to_json(t: &tc_trace::TraceSummary) -> Value {
     let counts = tc_trace::EventKind::ALL
         .iter()
         .filter(|k| t.count(**k) > 0)
-        .map(|k| (k.name(), Json::UInt(t.count(*k))))
-        .collect();
-    Json::Object(vec![
-        ("emitted", Json::UInt(t.emitted)),
-        ("recorded", Json::UInt(t.recorded)),
-        ("dropped", Json::UInt(t.dropped)),
-        ("filtered", Json::UInt(t.filtered)),
-        ("counts", Json::Object(counts)),
+        .map(|k| (k.name(), Value::UInt(t.count(*k))));
+    Value::object([
+        ("emitted", Value::UInt(t.emitted)),
+        ("recorded", Value::UInt(t.recorded)),
+        ("dropped", Value::UInt(t.dropped)),
+        ("filtered", Value::UInt(t.filtered)),
+        ("counts", Value::object(counts)),
     ])
 }
 
 /// A JSON array of reports, in the given order.
 #[must_use]
-pub fn reports_to_json(reports: &[SimReport]) -> Json {
-    Json::Array(reports.iter().map(report_to_json).collect())
-}
-
-/// Minimal structural well-formedness scan of JSON text: balanced
-/// brackets outside strings, terminated strings, no trailing commas.
-///
-/// The workspace has no JSON parser (it builds offline with no external
-/// crates), so emitted artifacts are gated in CI with this scan rather
-/// than a full parse. It accepts every output of [`Json::render`] /
-/// [`Json::pretty`] and rejects the structural corruptions a truncated
-/// or hand-edited file would show.
-///
-/// # Errors
-///
-/// Returns a description of the first structural problem found.
-pub fn check_well_formed(text: &str) -> Result<(), String> {
-    let (mut depth, mut in_str, mut esc) = (0i64, false, false);
-    for (i, ch) in text.char_indices() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => {
-                depth -= 1;
-                if depth < 0 {
-                    return Err(format!("unbalanced {ch:?} at byte {i}"));
-                }
-            }
-            _ => {}
-        }
-    }
-    if in_str {
-        return Err("unterminated string".to_string());
-    }
-    if depth != 0 {
-        return Err(format!("{depth} unclosed bracket(s)"));
-    }
-    // Trailing commas never separate whitespace from a closer in our
-    // emitter; scan outside strings for `,` followed by `}` / `]`.
-    let (mut in_str, mut esc, mut pending_comma) = (false, false, false);
-    for ch in text.chars() {
-        if in_str {
-            if esc {
-                esc = false;
-            } else if ch == '\\' {
-                esc = true;
-            } else if ch == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match ch {
-            '"' => {
-                in_str = true;
-                pending_comma = false;
-            }
-            ',' => pending_comma = true,
-            '}' | ']' if pending_comma => {
-                return Err(format!("trailing comma before {ch:?}"));
-            }
-            c if c.is_whitespace() => {}
-            _ => pending_comma = false,
-        }
-    }
-    Ok(())
+pub fn reports_to_json(reports: &[SimReport]) -> Value {
+    Value::Array(reports.iter().map(report_to_json).collect())
 }
 
 #[cfg(test)]
@@ -442,45 +433,27 @@ mod tests {
 
     #[test]
     fn renders_scalars_and_escapes() {
-        assert_eq!(Json::Null.render(), "null");
-        assert_eq!(Json::Bool(true).render(), "true");
-        assert_eq!(Json::UInt(42).render(), "42");
-        assert_eq!(Json::Float(1.5).render(), "1.5");
-        assert_eq!(Json::Float(f64::NAN).render(), "null");
+        assert_eq!(Value::Null.render(), "null");
+        assert_eq!(Value::Bool(true).render(), "true");
+        assert_eq!(Value::UInt(42).render(), "42");
+        assert_eq!(Value::Float(1.5).render(), "1.5");
+        assert_eq!(Value::Float(f64::NAN).render(), "null");
         assert_eq!(
-            Json::Str("a\"b\\c\nd".into()).render(),
+            Value::Str("a\"b\\c\nd".into()).render(),
             "\"a\\\"b\\\\c\\nd\""
         );
-        assert_eq!(Json::Str("\u{1}".into()).render(), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn well_formedness_scan_accepts_renders_and_rejects_corruption() {
-        let v = Json::Object(vec![
-            ("s", Json::Str("quote \" bracket } comma ,]".into())),
-            ("a", Json::Array(vec![Json::UInt(1), Json::Null])),
-        ]);
-        assert_eq!(check_well_formed(&v.render()), Ok(()));
-        assert_eq!(check_well_formed(&v.pretty()), Ok(()));
-        assert!(check_well_formed("{\"a\":1").is_err(), "unclosed brace");
-        assert!(check_well_formed("{\"a\":1}}").is_err(), "extra closer");
-        assert!(check_well_formed("{\"a\":\"x}").is_err(), "open string");
-        assert!(check_well_formed("[1,2,]").is_err(), "trailing comma");
-        assert!(
-            check_well_formed("[1, 2 , ]").is_err(),
-            "spaced trailing comma"
-        );
+        assert_eq!(Value::Str("\u{1}".into()).render(), "\"\\u0001\"");
     }
 
     #[test]
     fn renders_composites_in_order() {
-        let v = Json::Object(vec![
-            ("b", Json::UInt(1)),
-            ("a", Json::Array(vec![Json::UInt(2), Json::Null])),
+        let v = Value::object([
+            ("b", Value::UInt(1)),
+            ("a", Value::Array(vec![Value::UInt(2), Value::Null])),
         ]);
         assert_eq!(v.render(), "{\"b\":1,\"a\":[2,null]}");
         assert!(v.pretty().contains("\"a\": [\n"));
-        assert_eq!(v.get("b"), Some(&Json::UInt(1)));
+        assert_eq!(v.get("b"), Some(&Value::UInt(1)));
         assert_eq!(v.get("missing"), None);
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! Thin glue between `tc-analyze` and the harness's report machinery:
 //! runs the eight-pass pipeline over registered benchmarks and renders
-//! the results through [`Table`] and [`Json`] like every other driver.
+//! the results through [`Table`] and [`Value`] like every other driver.
 
 use tc_analyze::{analyze, AnalysisReport, Severity, PASS_NAMES};
 use tc_workloads::WorkloadId;
 
-use crate::harness::json::Json;
+use crate::harness::json::Value;
 use crate::harness::table::Table;
 
 /// One benchmark's lint result.
@@ -46,90 +46,93 @@ pub fn lint_errors(entries: &[LintEntry]) -> usize {
 /// The structured form of one lint entry. Like `report_to_json`, the
 /// key set is pinned by a golden test; extend it additively.
 #[must_use]
-pub fn lint_entry_to_json(entry: &LintEntry) -> Json {
+pub fn lint_entry_to_json(entry: &LintEntry) -> Value {
     let r = &entry.report;
     let t = &r.taxonomy;
     let findings = r
         .findings
         .iter()
         .map(|f| {
-            Json::Object(vec![
-                ("pass", Json::Str(f.pass.name().to_owned())),
-                ("severity", Json::Str(f.severity.to_string())),
-                ("at", f.at.map_or(Json::Null, |a| Json::UInt(a.byte_addr()))),
-                ("message", Json::Str(f.message.clone())),
+            Value::object([
+                ("pass", Value::Str(f.pass.name().to_owned())),
+                ("severity", Value::Str(f.severity.to_string())),
+                (
+                    "at",
+                    f.at.map_or(Value::Null, |a| Value::UInt(a.byte_addr())),
+                ),
+                ("message", Value::Str(f.message.clone())),
             ])
         })
         .collect();
-    Json::Object(vec![
-        ("benchmark", Json::Str(entry.benchmark.to_owned())),
+    Value::object([
+        ("benchmark", Value::Str(entry.benchmark.to_owned())),
         (
             "passes",
-            Json::Array(
+            Value::Array(
                 PASS_NAMES
                     .iter()
-                    .map(|p| Json::Str((*p).to_owned()))
+                    .map(|p| Value::Str((*p).to_owned()))
                     .collect(),
             ),
         ),
-        ("instructions", Json::UInt(r.instructions as u64)),
-        ("blocks", Json::UInt(r.blocks as u64)),
-        ("reachable_blocks", Json::UInt(r.reachable_blocks as u64)),
-        ("errors", Json::UInt(r.errors() as u64)),
-        ("warnings", Json::UInt(r.warnings() as u64)),
-        ("infos", Json::UInt(r.at_severity(Severity::Info) as u64)),
+        ("instructions", Value::UInt(r.instructions as u64)),
+        ("blocks", Value::UInt(r.blocks as u64)),
+        ("reachable_blocks", Value::UInt(r.reachable_blocks as u64)),
+        ("errors", Value::UInt(r.errors() as u64)),
+        ("warnings", Value::UInt(r.warnings() as u64)),
+        ("infos", Value::UInt(r.at_severity(Severity::Info) as u64)),
         (
             "taxonomy",
-            Json::Object(vec![
-                ("cond_branches", Json::UInt(t.cond_branches() as u64)),
-                ("cond_backward", Json::UInt(t.cond_backward() as u64)),
+            Value::object([
+                ("cond_branches", Value::UInt(t.cond_branches() as u64)),
+                ("cond_backward", Value::UInt(t.cond_backward() as u64)),
                 (
                     "cond_short_backward",
-                    Json::UInt(t.cond_short_backward() as u64),
+                    Value::UInt(t.cond_short_backward() as u64),
                 ),
                 (
                     "promotion_candidates",
-                    Json::UInt(t.promotion_candidates() as u64),
+                    Value::UInt(t.promotion_candidates() as u64),
                 ),
-                ("jumps", Json::UInt(t.jumps() as u64)),
-                ("calls", Json::UInt(t.calls() as u64)),
-                ("returns", Json::UInt(t.returns() as u64)),
-                ("indirect_jumps", Json::UInt(t.indirect_jumps() as u64)),
-                ("indirect_calls", Json::UInt(t.indirect_calls() as u64)),
-                ("traps", Json::UInt(t.traps() as u64)),
-                ("back_edges", Json::UInt(t.back_edges() as u64)),
+                ("jumps", Value::UInt(t.jumps() as u64)),
+                ("calls", Value::UInt(t.calls() as u64)),
+                ("returns", Value::UInt(t.returns() as u64)),
+                ("indirect_jumps", Value::UInt(t.indirect_jumps() as u64)),
+                ("indirect_calls", Value::UInt(t.indirect_calls() as u64)),
+                ("traps", Value::UInt(t.traps() as u64)),
+                ("back_edges", Value::UInt(t.back_edges() as u64)),
             ]),
         ),
         (
             "loops",
-            Json::Array(
+            Value::Array(
                 r.loops
                     .iter()
                     .map(|l| {
-                        Json::Object(vec![
-                            ("header", Json::UInt(l.header.byte_addr())),
-                            ("latch", Json::UInt(l.latch.byte_addr())),
-                            ("blocks", Json::UInt(l.blocks as u64)),
-                            ("instructions", Json::UInt(l.instructions as u64)),
-                            ("depth", Json::UInt(l.depth as u64)),
-                            ("trip_count", l.trip_count.map_or(Json::Null, Json::UInt)),
+                        Value::object([
+                            ("header", Value::UInt(l.header.byte_addr())),
+                            ("latch", Value::UInt(l.latch.byte_addr())),
+                            ("blocks", Value::UInt(l.blocks as u64)),
+                            ("instructions", Value::UInt(l.instructions as u64)),
+                            ("depth", Value::UInt(l.depth as u64)),
+                            ("trip_count", l.trip_count.map_or(Value::Null, Value::UInt)),
                             (
                                 "static_taken_prob",
-                                l.static_taken_prob.map_or(Json::Null, Json::Float),
+                                l.static_taken_prob.map_or(Value::Null, Value::Float),
                             ),
                         ])
                     })
                     .collect(),
             ),
         ),
-        ("findings", Json::Array(findings)),
+        ("findings", Value::Array(findings)),
     ])
 }
 
 /// A JSON array of lint entries, in the given order.
 #[must_use]
-pub fn lint_to_json(entries: &[LintEntry]) -> Json {
-    Json::Array(entries.iter().map(lint_entry_to_json).collect())
+pub fn lint_to_json(entries: &[LintEntry]) -> Value {
+    Value::Array(entries.iter().map(lint_entry_to_json).collect())
 }
 
 /// A summary table of lint results, one row per benchmark.

@@ -1,9 +1,8 @@
 //! The experiment harness: one layer every driver builds on.
 //!
 //! The paper's evaluation is a benchmark × configuration matrix, and the
-//! repo has three front doors into it — the `tw` CLI, the `paper`
-//! figure/table regenerator, and the `experiments` helper API. All of
-//! them share this layer:
+//! repo has two front doors into it — the `tw` CLI and the `paper`
+//! figure/table regenerator. Both share this layer:
 //!
 //! * [`registry`] — the single source of truth for named configuration
 //!   presets (`icache`, `baseline`, `packing`, `promotion`,
@@ -15,10 +14,11 @@
 //!   [`MatrixRunner`] that the figure regenerator drives. Worker count
 //!   comes from `--jobs` flags or the `TW_JOBS` environment variable
 //!   (see [`default_jobs`]).
-//! * [`json`] — a hand-rolled JSON report emitter (the workspace builds
-//!   offline with no external crates) for [`SimReport`] and friends.
-//! * [`parse`] — the matching reader: a small recursive-descent JSON
-//!   parser for artifact comparison (`tw bench --compare`).
+//! * [`json`] — [`Value`], the one JSON value type (the workspace builds
+//!   offline with no external crates): its renderer, its accessors, and
+//!   the emitters for [`SimReport`] and friends.
+//! * [`parse`] — the matching reader: a small recursive-descent parser
+//!   into the same [`Value`], for every artifact and request body.
 //! * [`error`] — [`TwError`], the structured error every fallible `tw`
 //!   path returns: a one-line diagnostic plus the exit-code class
 //!   (usage → 2, runtime → 1).
@@ -67,11 +67,11 @@ pub use analyze::{
 pub use artifact::{read_verified, stamp, write_atomic, Integrity};
 pub use checkpoint::{parse_checkpoint, Checkpoint, CHECKPOINT_FORMAT};
 pub use error::TwError;
-pub use json::{check_well_formed, report_to_json, reports_to_json, trace_summary_to_json, Json};
+pub use json::{report_to_json, reports_to_json, trace_summary_to_json, Value};
 pub use lint::{
     lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, lint_to_json, LintEntry,
 };
-pub use parse::{parse_json, Value};
+pub use parse::parse_json;
 pub use registry::{lookup, preset, presets, standard_five, ConfigPreset, STANDARD_FIVE};
 pub use runner::{
     default_jobs, run_matrix, run_matrix_watchdog, try_default_jobs, validate_jobs, MatrixRunner,

@@ -1,92 +1,14 @@
-//! A minimal JSON reader for artifact comparison.
+//! The JSON reader: a small recursive-descent parser producing an owned
+//! [`Value`] tree, the same type the emitters build.
 //!
-//! The workspace builds offline with no external crates, so artifact
-//! *emission* is hand-rolled ([`super::json`]) and artifact *reading*
-//! lives here: a small recursive-descent parser producing an owned
-//! [`Value`] tree. It accepts exactly the JSON this repo emits (and any
-//! standard JSON document); it is not a validator of exotic inputs —
-//! numbers are parsed through `f64`, which is lossless for every counter
-//! the artifacts carry below 2^53.
+//! It accepts any standard JSON document. A non-negative integer literal
+//! that fits `u64` becomes [`Value::UInt`], so counters, addresses and
+//! 64-bit seeds read back exactly; every other number becomes
+//! [`Value::Float`].
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (integers up to 2^53 are exact).
-    Num(f64),
-    /// A string, with escapes decoded.
-    Str(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object, in source order (duplicate keys are kept as-is).
-    Object(Vec<(String, Value)>),
-}
+use std::borrow::Cow;
 
-impl Value {
-    /// Member lookup on objects; `None` elsewhere or when absent.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    #[must_use]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    #[must_use]
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The boolean, if this is `true` or `false`.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The value as an exact unsigned integer: a number that is whole,
-    /// non-negative, and small enough (≤ 2^53) that the `f64` carrier
-    /// still represents it exactly. Anything else — including counters
-    /// large enough to have been silently rounded by the parser —
-    /// returns `None` rather than a truncated value.
-    #[must_use]
-    pub fn as_u64(&self) -> Option<u64> {
-        let f = self.as_f64()?;
-        if f.is_finite() && f >= 0.0 && f.fract() == 0.0 && f <= 9_007_199_254_740_992.0 {
-            #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-            Some(f as u64)
-        } else {
-            None
-        }
-    }
-}
+use super::json::Value;
 
 /// Parses a complete JSON document.
 ///
@@ -190,8 +112,11 @@ impl Parser<'_> {
         // arbitrary input.
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| format!("invalid number at byte {start}"))?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::UInt(n));
+        }
         text.parse::<f64>()
-            .map(Value::Num)
+            .map(Value::Float)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
     }
 
@@ -300,7 +225,7 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            members.push((key, value));
+            members.push((Cow::Owned(key), value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -341,6 +266,28 @@ mod tests {
         let v = parse_json(r#"{"s":"a\"b\\c\ndA","n":-1.5e-2}"#).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
         assert!((v.get("n").and_then(Value::as_f64).unwrap() + 0.015).abs() < 1e-12);
+    }
+
+    #[test]
+    fn integers_are_exact_and_other_numbers_are_floats() {
+        let v = parse_json(
+            r#"[0, 9007199254740993, 18446744073709551615, 18446744073709551616, -1, 1.0, 1e3]"#,
+        )
+        .unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0], Value::UInt(0));
+        assert_eq!(items[1].as_u64(), Some((1 << 53) + 1));
+        assert_eq!(items[2].as_u64(), Some(u64::MAX));
+        for (i, want) in [
+            (3, 18_446_744_073_709_551_616.0),
+            (4, -1.0),
+            (5, 1.0),
+            (6, 1e3),
+        ] {
+            assert_eq!(items[i], Value::Float(want), "item {i}");
+            assert_eq!(items[i].as_u64(), None, "item {i}");
+        }
+        assert_eq!(items[0].as_f64(), Some(0.0));
     }
 
     #[test]
@@ -388,9 +335,9 @@ mod tests {
     #[test]
     fn round_trips_emitted_reports() {
         // The emitter and parser must agree on the repo's own output.
-        let text = crate::harness::Json::Object(vec![
-            ("x", crate::harness::Json::Float(0.25)),
-            ("y", crate::harness::Json::Str("hi \"there\"".to_string())),
+        let text = crate::harness::Value::object([
+            ("x", crate::harness::Value::Float(0.25)),
+            ("y", crate::harness::Value::Str("hi \"there\"".to_string())),
         ])
         .pretty();
         let v = parse_json(&text).unwrap();

@@ -10,13 +10,13 @@
 //! never panics and never grows without bound.
 
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tc_fault::chaos::IoFaultPlan;
 use tc_workloads::{Workload, WorkloadId};
@@ -26,7 +26,7 @@ use crate::processor::Processor;
 
 use crate::harness::analyze::{build_plan, plan_to_json};
 use crate::harness::error::TwError;
-use crate::harness::json::{report_to_json, reports_to_json, trace_summary_to_json, Json};
+use crate::harness::json::{report_to_json, reports_to_json, trace_summary_to_json, Value};
 use crate::harness::registry;
 use crate::harness::runner::run_matrix;
 use crate::harness::trace::{chrome_trace_json, run_traced, timeline_to_json, TraceOptions};
@@ -328,18 +328,43 @@ fn handle_connection(stream: TcpStream, state: &ServeState) {
         ..HttpLimits::default()
     };
     let mut reader = BufReader::new(stream);
-    let response = match read_request(&mut reader, &limits) {
-        Ok(request) => route(&request, state),
+    let (response, rejected) = match read_request(&mut reader, &limits) {
+        Ok(request) => (route(&request, state), false),
         // Nothing arrived, or the socket died: nobody to answer.
         Err(HttpError::Closed | HttpError::Io(_)) => return,
         Err(HttpError::Malformed { status, reason }) => {
-            Response::json(status, error_body(status, &reason))
+            (Response::json(status, error_body(status, &reason)), true)
         }
     };
     count_response(state, response.status);
     let mut stream = reader.into_inner();
     let _ = write_response(&mut stream, &response);
     let _ = stream.flush();
+    if rejected {
+        linger(&mut stream);
+    }
+}
+
+/// How long a rejected connection is drained before it is closed.
+const LINGER: Duration = Duration::from_secs(2);
+
+/// Half-closes a connection whose request was rejected unread (an
+/// oversized body, say) and drains what the peer is still sending.
+/// Closing with input unread makes the kernel reset the connection,
+/// which can destroy the response before the client reads it.
+fn linger(stream: &mut TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + LINGER;
+    let mut buf = [0u8; 8192];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+    }
 }
 
 fn route(request: &Request, state: &ServeState) -> Response {
@@ -347,9 +372,9 @@ fn route(request: &Request, state: &ServeState) -> Response {
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => Response::json(
             200,
-            Json::Object(vec![
-                ("schema", Json::Str(WIRE_SCHEMA.to_string())),
-                ("ok", Json::Bool(true)),
+            Value::object([
+                ("schema", Value::Str(WIRE_SCHEMA.to_string())),
+                ("ok", Value::Bool(true)),
             ])
             .render(),
         ),
@@ -363,12 +388,12 @@ fn route(request: &Request, state: &ServeState) -> Response {
             let _ = TcpStream::connect_timeout(&state.bound, Duration::from_secs(2));
             Response::json(
                 200,
-                Json::Object(vec![
-                    ("schema", Json::Str(WIRE_SCHEMA.to_string())),
-                    ("ok", Json::Bool(true)),
+                Value::object([
+                    ("schema", Value::Str(WIRE_SCHEMA.to_string())),
+                    ("ok", Value::Bool(true)),
                     (
                         "draining",
-                        Json::UInt(u64::try_from(state.queue.stats().depth).unwrap_or(u64::MAX)),
+                        Value::UInt(u64::try_from(state.queue.stats().depth).unwrap_or(u64::MAX)),
                     ),
                 ])
                 .render(),
@@ -497,14 +522,14 @@ fn preset_config(spec: &JobSpec) -> Result<SimConfig, TwError> {
         .ok_or_else(|| TwError::runtime(format!("registry is missing {:?}", spec.preset)))
 }
 
-fn envelope(kind: JobKind, spec: &JobSpec, fields: Vec<(&'static str, Json)>) -> String {
+fn envelope(kind: JobKind, spec: &JobSpec, fields: Vec<(&'static str, Value)>) -> String {
     let mut members = vec![
-        ("schema", Json::Str(WIRE_SCHEMA.to_string())),
-        ("kind", Json::Str(kind.name().to_string())),
-        ("key", Json::Str(spec.key_hash())),
+        ("schema", Value::Str(WIRE_SCHEMA.to_string())),
+        ("kind", Value::Str(kind.name().to_string())),
+        ("key", Value::Str(spec.key_hash())),
     ];
     members.extend(fields);
-    Json::Object(members).render()
+    Value::object(members).render()
 }
 
 /// Executes one validated job. Runs on a worker thread; any panic is
@@ -529,7 +554,7 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
                     limit: 0,
                 };
                 let run = run_traced(config, &workload, &options);
-                let timeline = run.timeline.as_ref().map_or(Json::Null, timeline_to_json);
+                let timeline = run.timeline.as_ref().map_or(Value::Null, timeline_to_json);
                 return Ok(envelope(
                     spec.kind,
                     spec,
@@ -560,10 +585,10 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
                 .collect();
             // Serial within the job: the worker pool is the fan-out.
             let reports = run_matrix(&cells, 1);
-            let configs = Json::Array(
+            let configs = Value::Array(
                 registry::STANDARD_FIVE
                     .iter()
-                    .map(|name| Json::Str((*name).to_string()))
+                    .map(|name| Value::Str((*name).to_string()))
                     .collect(),
             );
             Ok(envelope(
@@ -622,78 +647,78 @@ fn run_job(state: &ServeState, spec: &JobSpec) -> Result<String, TwError> {
 fn stats_body(state: &ServeState) -> String {
     let queue = state.queue.stats();
     let cache = state.cache.stats();
-    Json::Object(vec![
-        ("schema", Json::Str(WIRE_SCHEMA.to_string())),
+    Value::object([
+        ("schema", Value::Str(WIRE_SCHEMA.to_string())),
         (
             "requests",
-            Json::UInt(state.requests.load(Ordering::Relaxed)),
+            Value::UInt(state.requests.load(Ordering::Relaxed)),
         ),
         (
             "active_conns",
-            Json::UInt(
+            Value::UInt(
                 u64::try_from(state.active_conns.load(Ordering::Relaxed)).unwrap_or(u64::MAX),
             ),
         ),
         (
             "client_errors",
-            Json::UInt(state.client_errors.load(Ordering::Relaxed)),
+            Value::UInt(state.client_errors.load(Ordering::Relaxed)),
         ),
         (
             "server_errors",
-            Json::UInt(state.server_errors.load(Ordering::Relaxed)),
+            Value::UInt(state.server_errors.load(Ordering::Relaxed)),
         ),
         (
             "job_panics",
-            Json::UInt(state.job_panics.load(Ordering::Relaxed)),
+            Value::UInt(state.job_panics.load(Ordering::Relaxed)),
         ),
         (
             "conns_shed",
-            Json::UInt(state.conns_shed.load(Ordering::Relaxed)),
+            Value::UInt(state.conns_shed.load(Ordering::Relaxed)),
         ),
         (
             "deadline_errors",
-            Json::UInt(state.deadline_errors.load(Ordering::Relaxed)),
+            Value::UInt(state.deadline_errors.load(Ordering::Relaxed)),
         ),
         (
             "queue",
-            Json::Object(vec![
-                ("pushed", Json::UInt(queue.pushed)),
-                ("shed", Json::UInt(queue.shed)),
-                ("stolen", Json::UInt(queue.stolen)),
+            Value::object([
+                ("pushed", Value::UInt(queue.pushed)),
+                ("shed", Value::UInt(queue.shed)),
+                ("stolen", Value::UInt(queue.stolen)),
                 (
                     "depth",
-                    Json::UInt(u64::try_from(queue.depth).unwrap_or(u64::MAX)),
+                    Value::UInt(u64::try_from(queue.depth).unwrap_or(u64::MAX)),
                 ),
             ]),
         ),
         (
             "cache",
-            Json::Object(vec![
-                ("hits", Json::UInt(cache.hits)),
-                ("joined", Json::UInt(cache.joined)),
-                ("computed", Json::UInt(cache.computed)),
-                ("evicted", Json::UInt(cache.evicted)),
+            Value::object([
+                ("hits", Value::UInt(cache.hits)),
+                ("joined", Value::UInt(cache.joined)),
+                ("computed", Value::UInt(cache.computed)),
+                ("evicted", Value::UInt(cache.evicted)),
                 (
                     "entries",
-                    Json::UInt(u64::try_from(cache.entries).unwrap_or(u64::MAX)),
+                    Value::UInt(u64::try_from(cache.entries).unwrap_or(u64::MAX)),
                 ),
             ]),
         ),
         (
             "disk",
             match &state.disk {
-                None => Json::Null,
+                None => Value::Null,
                 Some(disk) => {
                     let d = disk.stats();
-                    Json::Object(vec![
-                        ("scanned", Json::UInt(d.scanned)),
-                        ("entries", Json::UInt(d.entries)),
-                        ("hits", Json::UInt(d.hits)),
-                        ("stored", Json::UInt(d.stored)),
-                        ("store_errors", Json::UInt(d.store_errors)),
-                        ("quarantined", Json::UInt(d.quarantined)),
-                        ("evicted", Json::UInt(d.evicted)),
-                        ("degraded", Json::Bool(d.degraded)),
+                    Value::object([
+                        ("scanned", Value::UInt(d.scanned)),
+                        ("entries", Value::UInt(d.entries)),
+                        ("hits", Value::UInt(d.hits)),
+                        ("stored", Value::UInt(d.stored)),
+                        ("store_errors", Value::UInt(d.store_errors)),
+                        ("quarantined", Value::UInt(d.quarantined)),
+                        ("evicted", Value::UInt(d.evicted)),
+                        ("degraded", Value::Bool(d.degraded)),
                     ])
                 }
             },
@@ -703,26 +728,26 @@ fn stats_body(state: &ServeState) -> String {
 }
 
 fn presets_body() -> String {
-    Json::Object(vec![
-        ("schema", Json::Str(WIRE_SCHEMA.to_string())),
+    Value::object([
+        ("schema", Value::Str(WIRE_SCHEMA.to_string())),
         (
             "presets",
-            Json::Array(
+            Value::Array(
                 registry::presets()
                     .iter()
                     .map(|p| {
-                        Json::Object(vec![
-                            ("name", Json::Str(p.name.to_string())),
+                        Value::object([
+                            ("name", Value::Str(p.name.to_string())),
                             (
                                 "aliases",
-                                Json::Array(
+                                Value::Array(
                                     p.aliases
                                         .iter()
-                                        .map(|a| Json::Str((*a).to_string()))
+                                        .map(|a| Value::Str((*a).to_string()))
                                         .collect(),
                                 ),
                             ),
-                            ("summary", Json::Str(p.summary.to_string())),
+                            ("summary", Value::Str(p.summary.to_string())),
                         ])
                     })
                     .collect(),
@@ -733,18 +758,18 @@ fn presets_body() -> String {
 }
 
 fn workloads_body() -> String {
-    Json::Object(vec![
-        ("schema", Json::Str(WIRE_SCHEMA.to_string())),
+    Value::object([
+        ("schema", Value::Str(WIRE_SCHEMA.to_string())),
         (
             "workloads",
-            Json::Array(
+            Value::Array(
                 WorkloadId::all()
                     .into_iter()
                     .map(|b| {
-                        Json::Object(vec![
-                            ("name", Json::Str(b.name().to_string())),
-                            ("short", Json::Str(b.short_name().to_string())),
-                            ("family", Json::Str(b.family().to_string())),
+                        Value::object([
+                            ("name", Value::Str(b.name().to_string())),
+                            ("short", Value::Str(b.short_name().to_string())),
+                            ("family", Value::Str(b.family().to_string())),
                         ])
                     })
                     .collect(),

@@ -14,7 +14,8 @@ use tc_trace::EventFilter;
 use tc_workloads::WorkloadId;
 
 use crate::harness::error::TwError;
-use crate::harness::parse::{parse_json, Value};
+use crate::harness::json::Value;
+use crate::harness::parse::parse_json;
 use crate::harness::registry;
 use crate::harness::trace::{DEFAULT_TRACE_INTERVAL, DEFAULT_TRACE_LIMIT};
 
@@ -193,7 +194,7 @@ pub fn parse_job(kind: JobKind, body: &[u8], limits: &JobLimits) -> Result<JobSp
 
     let allowed = allowed_fields(kind);
     for (key, _) in members {
-        if !COMMON_FIELDS.contains(&key.as_str()) && !allowed.contains(&key.as_str()) {
+        if !COMMON_FIELDS.contains(&key.as_ref()) && !allowed.contains(&key.as_ref()) {
             let mut fields: Vec<&str> = COMMON_FIELDS.iter().chain(allowed).copied().collect();
             fields.sort_unstable();
             return Err(bad(format!(
@@ -481,19 +482,10 @@ pub fn error_status(e: &TwError) -> u16 {
 /// Renders the uniform JSON error body.
 #[must_use]
 pub fn error_body(status: u16, message: &str) -> String {
-    crate::harness::json::Json::Object(vec![
-        (
-            "schema",
-            crate::harness::json::Json::Str(WIRE_SCHEMA.to_string()),
-        ),
-        (
-            "status",
-            crate::harness::json::Json::UInt(u64::from(status)),
-        ),
-        (
-            "error",
-            crate::harness::json::Json::Str(message.to_string()),
-        ),
+    Value::object([
+        ("schema", Value::Str(WIRE_SCHEMA.to_string())),
+        ("status", Value::UInt(u64::from(status))),
+        ("error", Value::Str(message.to_string())),
     ])
     .render()
 }
@@ -629,8 +621,11 @@ mod tests {
     #[test]
     fn error_bodies_are_well_formed_json() {
         let body = error_body(503, "queue is full");
-        crate::harness::json::check_well_formed(&body).unwrap();
-        assert!(body.contains("\"queue is full\""));
-        assert!(body.contains("503"));
+        let doc = parse_json(&body).unwrap();
+        assert_eq!(
+            doc.get("error").and_then(Value::as_str),
+            Some("queue is full")
+        );
+        assert_eq!(doc.get("status").and_then(Value::as_u64), Some(503));
     }
 }

@@ -1,7 +1,7 @@
 //! Plain-text table rendering and the shared statistics helpers.
 //!
-//! Moved here from `tc-bench` so every driver (the `tw` CLI, the
-//! `paper` regenerator, `experiments`) formats results the same way.
+//! Moved here from `tc-bench` so every driver (the `tw` CLI and the
+//! `paper` regenerator) formats results the same way.
 
 /// A plain-text table printer with right-aligned numeric columns.
 #[derive(Debug, Default)]
@@ -121,6 +121,7 @@ mod tests {
         assert_eq!(f2(1.234), "1.23");
         assert_eq!(pct(10.0), "+10.0%");
         assert!((percent_change(10.0, 12.0) - 20.0).abs() < 1e-12);
+        assert_eq!(percent_change(0.0, 5.0), 0.0);
         assert!((mean([1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
         assert_eq!(mean([]), 0.0);
     }

@@ -19,7 +19,7 @@ use tc_trace::{
 use tc_workloads::Workload;
 
 use crate::config::SimConfig;
-use crate::harness::json::Json;
+use crate::harness::json::Value;
 use crate::processor::Processor;
 use crate::report::SimReport;
 
@@ -91,8 +91,8 @@ pub fn run_traced(config: SimConfig, workload: &Workload, options: &TraceOptions
 /// events, then the timeline counter tracks. Timestamps are simulated
 /// cycles (the viewer's "µs" axis reads as cycles).
 #[must_use]
-pub fn chrome_trace_json(run: &TracedRun) -> Json {
-    let mut events: Vec<Json> = Vec::with_capacity(run.records.len() + 8);
+pub fn chrome_trace_json(run: &TracedRun) -> Value {
+    let mut events: Vec<Value> = Vec::with_capacity(run.records.len() + 8);
     events.push(metadata_event(
         "process_name",
         format!(
@@ -107,54 +107,54 @@ pub fn chrome_trace_json(run: &TracedRun) -> Json {
     if let Some(timeline) = &run.timeline {
         push_counter_tracks(&mut events, timeline);
     }
-    Json::Object(vec![
-        ("traceEvents", Json::Array(events)),
+    Value::object([
+        ("traceEvents", Value::Array(events)),
         (
             "otherData",
-            Json::Object(vec![
-                ("benchmark", Json::Str(run.report.benchmark.clone())),
-                ("config", Json::Str(run.report.config.clone())),
-                ("cycles", Json::UInt(run.report.cycles)),
-                ("emitted", Json::UInt(run.summary.emitted)),
-                ("recorded", Json::UInt(run.summary.recorded)),
-                ("dropped", Json::UInt(run.summary.dropped)),
-                ("filtered", Json::UInt(run.summary.filtered)),
+            Value::object([
+                ("benchmark", Value::Str(run.report.benchmark.clone())),
+                ("config", Value::Str(run.report.config.clone())),
+                ("cycles", Value::UInt(run.report.cycles)),
+                ("emitted", Value::UInt(run.summary.emitted)),
+                ("recorded", Value::UInt(run.summary.recorded)),
+                ("dropped", Value::UInt(run.summary.dropped)),
+                ("filtered", Value::UInt(run.summary.filtered)),
             ]),
         ),
     ])
 }
 
-fn metadata_event(name: &'static str, value: String) -> Json {
-    Json::Object(vec![
-        ("name", Json::Str(name.to_string())),
-        ("ph", Json::Str("M".to_string())),
-        ("pid", Json::UInt(0)),
-        ("tid", Json::UInt(0)),
-        ("args", Json::Object(vec![("name", Json::Str(value))])),
+fn metadata_event(name: &'static str, value: String) -> Value {
+    Value::object([
+        ("name", Value::Str(name.to_string())),
+        ("ph", Value::Str("M".to_string())),
+        ("pid", Value::UInt(0)),
+        ("tid", Value::UInt(0)),
+        ("args", Value::object([("name", Value::Str(value))])),
     ])
 }
 
-fn instant_event(record: &TraceRecord) -> Json {
+fn instant_event(record: &TraceRecord) -> Value {
     let kind = record.event.kind();
     let mut args = event_args(&record.event);
-    args.push(("seq", Json::UInt(record.seq)));
-    Json::Object(vec![
-        ("name", Json::Str(kind.name().to_string())),
-        ("cat", Json::Str(kind.category().to_string())),
-        ("ph", Json::Str("i".to_string())),
-        ("ts", Json::UInt(record.cycle)),
-        ("pid", Json::UInt(0)),
-        ("tid", Json::UInt(0)),
-        ("s", Json::Str("t".to_string())),
-        ("args", Json::Object(args)),
+    args.push(("seq", Value::UInt(record.seq)));
+    Value::object([
+        ("name", Value::Str(kind.name().to_string())),
+        ("cat", Value::Str(kind.category().to_string())),
+        ("ph", Value::Str("i".to_string())),
+        ("ts", Value::UInt(record.cycle)),
+        ("pid", Value::UInt(0)),
+        ("tid", Value::UInt(0)),
+        ("s", Value::Str("t".to_string())),
+        ("args", Value::object(args)),
     ])
 }
 
-fn hex(addr: tc_isa::Addr) -> Json {
-    Json::Str(format!("0x{:x}", addr.byte_addr()))
+fn hex(addr: tc_isa::Addr) -> Value {
+    Value::Str(format!("0x{:x}", addr.byte_addr()))
 }
 
-fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
+fn event_args(event: &TraceEvent) -> Vec<(&'static str, Value)> {
     match *event {
         TraceEvent::TcHit {
             pc,
@@ -163,9 +163,9 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
             full,
         } => vec![
             ("pc", hex(pc)),
-            ("active", Json::UInt(u64::from(active))),
-            ("total", Json::UInt(u64::from(total))),
-            ("full", Json::Bool(full)),
+            ("active", Value::UInt(u64::from(active))),
+            ("total", Value::UInt(u64::from(total))),
+            ("full", Value::Bool(full)),
         ],
         TraceEvent::TcMiss { pc }
         | TraceEvent::PromotedFault { pc }
@@ -181,9 +181,9 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
             duplicate,
         } => vec![
             ("start", hex(start)),
-            ("len", Json::UInt(u64::from(len))),
-            ("evicted", Json::Bool(evicted)),
-            ("duplicate", Json::Bool(duplicate)),
+            ("len", Value::UInt(u64::from(len))),
+            ("evicted", Value::Bool(evicted)),
+            ("duplicate", Value::Bool(duplicate)),
         ],
         TraceEvent::FillFinalize {
             start,
@@ -193,49 +193,52 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
             reason,
         } => vec![
             ("start", hex(start)),
-            ("len", Json::UInt(u64::from(len))),
-            ("dynamic_branches", Json::UInt(u64::from(dynamic_branches))),
-            ("promoted", Json::UInt(u64::from(promoted))),
-            ("reason", Json::Str(reason.label().to_string())),
+            ("len", Value::UInt(u64::from(len))),
+            ("dynamic_branches", Value::UInt(u64::from(dynamic_branches))),
+            ("promoted", Value::UInt(u64::from(promoted))),
+            ("reason", Value::Str(reason.label().to_string())),
         ],
         TraceEvent::PackPerformed {
             head,
             tail,
             verdict,
         } => vec![
-            ("head", Json::UInt(u64::from(head))),
-            ("tail", Json::UInt(u64::from(tail))),
-            ("verdict", Json::Str(verdict.label().to_string())),
+            ("head", Value::UInt(u64::from(head))),
+            ("tail", Value::UInt(u64::from(tail))),
+            ("verdict", Value::Str(verdict.label().to_string())),
         ],
         TraceEvent::PackRefused {
             pending,
             block,
             verdict,
         } => vec![
-            ("pending", Json::UInt(u64::from(pending))),
-            ("block", Json::UInt(u64::from(block))),
-            ("verdict", Json::Str(verdict.label().to_string())),
+            ("pending", Value::UInt(u64::from(pending))),
+            ("block", Value::UInt(u64::from(block))),
+            ("verdict", Value::Str(verdict.label().to_string())),
         ],
         TraceEvent::Promotion { pc, dir } => vec![
             ("pc", hex(pc)),
             (
                 "dir",
-                Json::Str(if dir { "taken" } else { "not_taken" }.to_string()),
+                Value::Str(if dir { "taken" } else { "not_taken" }.to_string()),
             ),
         ],
         TraceEvent::Demotion { pc, cause } => vec![
             ("pc", hex(pc)),
-            ("cause", Json::Str(cause.label().to_string())),
+            ("cause", Value::Str(cause.label().to_string())),
         ],
         TraceEvent::CondMispredict { pc, taken } => {
-            vec![("pc", hex(pc)), ("taken", Json::Bool(taken))]
+            vec![("pc", hex(pc)), ("taken", Value::Bool(taken))]
         }
         TraceEvent::Repair { redirect_pc, lost } => vec![
             ("redirect_pc", hex(redirect_pc)),
-            ("lost", Json::UInt(u64::from(lost))),
+            ("lost", Value::UInt(u64::from(lost))),
         ],
         TraceEvent::IcacheMiss { pc, latency } => {
-            vec![("pc", hex(pc)), ("latency", Json::UInt(u64::from(latency)))]
+            vec![
+                ("pc", hex(pc)),
+                ("latency", Value::UInt(u64::from(latency))),
+            ]
         }
         TraceEvent::Fetch {
             pc,
@@ -246,10 +249,10 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
             mispredicted,
         } => vec![
             ("pc", hex(pc)),
-            ("size", Json::UInt(u64::from(size))),
+            ("size", Value::UInt(u64::from(size))),
             (
                 "source",
-                Json::Str(
+                Value::Str(
                     match source {
                         tc_trace::FetchOrigin::TraceCache => "trace_cache",
                         tc_trace::FetchOrigin::ICache => "icache",
@@ -257,24 +260,24 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Json)> {
                     .to_string(),
                 ),
             ),
-            ("cond_branches", Json::UInt(u64::from(cond_branches))),
-            ("promoted", Json::UInt(u64::from(promoted))),
-            ("mispredicted", Json::Bool(mispredicted)),
+            ("cond_branches", Value::UInt(u64::from(cond_branches))),
+            ("promoted", Value::UInt(u64::from(promoted))),
+            ("mispredicted", Value::Bool(mispredicted)),
         ],
         TraceEvent::WindowStall { wait, occupancy } => vec![
-            ("wait", Json::UInt(u64::from(wait))),
-            ("occupancy", Json::UInt(u64::from(occupancy))),
+            ("wait", Value::UInt(u64::from(wait))),
+            ("occupancy", Value::UInt(u64::from(occupancy))),
         ],
         TraceEvent::FaultInjected { locus, pc } => vec![
-            ("locus", Json::Str(locus.name().to_string())),
+            ("locus", Value::Str(locus.name().to_string())),
             ("pc", hex(pc)),
         ],
         TraceEvent::FaultDetected { pc }
         | TraceEvent::FaultQuarantined { pc }
         | TraceEvent::FaultRecovered { pc } => vec![("pc", hex(pc))],
         TraceEvent::ModeBoundary { phase, insts } => vec![
-            ("phase", Json::Str(phase.label().to_string())),
-            ("insts", Json::UInt(insts)),
+            ("phase", Value::Str(phase.label().to_string())),
+            ("insts", Value::UInt(insts)),
         ],
     }
 }
@@ -290,17 +293,17 @@ const TIMELINE_TRACKS: [(&str, MetricFn); 4] = [
     ("promotion_coverage", IntervalStats::promotion_coverage),
 ];
 
-fn push_counter_tracks(events: &mut Vec<Json>, timeline: &Timeline) {
+fn push_counter_tracks(events: &mut Vec<Value>, timeline: &Timeline) {
     for (name, metric) in TIMELINE_TRACKS {
         for (i, window) in timeline.windows().iter().enumerate() {
-            events.push(Json::Object(vec![
-                ("name", Json::Str(name.to_string())),
-                ("ph", Json::Str("C".to_string())),
-                ("ts", Json::UInt(i as u64 * timeline.interval())),
-                ("pid", Json::UInt(0)),
+            events.push(Value::object([
+                ("name", Value::Str(name.to_string())),
+                ("ph", Value::Str("C".to_string())),
+                ("ts", Value::UInt(i as u64 * timeline.interval())),
+                ("pid", Value::UInt(0)),
                 (
                     "args",
-                    Json::Object(vec![("value", Json::Float(metric(window)))]),
+                    Value::object([("value", Value::Float(metric(window)))]),
                 ),
             ]));
         }
@@ -310,30 +313,30 @@ fn push_counter_tracks(events: &mut Vec<Json>, timeline: &Timeline) {
 /// Serializes a timeline as an array of per-window objects (raw tallies
 /// plus the derived rates).
 #[must_use]
-pub fn timeline_to_json(timeline: &Timeline) -> Json {
-    Json::Object(vec![
-        ("interval", Json::UInt(timeline.interval())),
+pub fn timeline_to_json(timeline: &Timeline) -> Value {
+    Value::object([
+        ("interval", Value::UInt(timeline.interval())),
         (
             "windows",
-            Json::Array(
+            Value::Array(
                 timeline
                     .windows()
                     .iter()
                     .enumerate()
                     .map(|(i, w)| {
-                        Json::Object(vec![
-                            ("start_cycle", Json::UInt(i as u64 * timeline.interval())),
-                            ("fetches", Json::UInt(w.fetches)),
-                            ("insts", Json::UInt(w.insts)),
-                            ("tc_lookups", Json::UInt(w.tc_lookups)),
-                            ("tc_hits", Json::UInt(w.tc_hits)),
-                            ("cond_branches", Json::UInt(w.cond_branches)),
-                            ("promoted", Json::UInt(w.promoted)),
-                            ("mispredicts", Json::UInt(w.mispredicts)),
-                            ("fetch_rate", Json::Float(w.fetch_rate())),
-                            ("tc_hit_rate", Json::Float(w.tc_hit_rate())),
-                            ("mispredict_rate", Json::Float(w.mispredict_rate())),
-                            ("promotion_coverage", Json::Float(w.promotion_coverage())),
+                        Value::object([
+                            ("start_cycle", Value::UInt(i as u64 * timeline.interval())),
+                            ("fetches", Value::UInt(w.fetches)),
+                            ("insts", Value::UInt(w.insts)),
+                            ("tc_lookups", Value::UInt(w.tc_lookups)),
+                            ("tc_hits", Value::UInt(w.tc_hits)),
+                            ("cond_branches", Value::UInt(w.cond_branches)),
+                            ("promoted", Value::UInt(w.promoted)),
+                            ("mispredicts", Value::UInt(w.mispredicts)),
+                            ("fetch_rate", Value::Float(w.fetch_rate())),
+                            ("tc_hit_rate", Value::Float(w.tc_hit_rate())),
+                            ("mispredict_rate", Value::Float(w.mispredict_rate())),
+                            ("promotion_coverage", Value::Float(w.promotion_coverage())),
                         ])
                     })
                     .collect(),
@@ -368,7 +371,7 @@ pub fn timeline_table(timeline: &Timeline) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::json::check_well_formed;
+    use crate::harness::parse::parse_json;
     use tc_workloads::Benchmark;
 
     fn small_traced() -> TracedRun {
@@ -409,7 +412,7 @@ mod tests {
         let run = small_traced();
         assert!(run.summary.dropped > 0, "2k ring must overflow");
         let text = chrome_trace_json(&run).pretty();
-        check_well_formed(&text).expect("chrome export is well-formed");
+        parse_json(&text).expect("chrome export parses");
         assert!(text.contains("\"traceEvents\""));
         assert!(text.contains("\"ph\": \"i\""));
         assert!(text.contains("\"ph\": \"C\""));
@@ -423,7 +426,7 @@ mod tests {
         let table = timeline_table(timeline);
         assert_eq!(table.lines().count(), timeline.windows().len() + 1);
         let json = timeline_to_json(timeline).pretty();
-        check_well_formed(&json).expect("timeline json is well-formed");
+        parse_json(&json).expect("timeline json parses");
         assert_eq!(
             json.matches("\"start_cycle\"").count(),
             timeline.windows().len()

@@ -41,7 +41,6 @@ mod plan;
 mod processor;
 mod report;
 
-pub mod experiments;
 pub mod harness;
 
 pub use config::{ExecutionMode, SimConfig};

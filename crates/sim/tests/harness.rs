@@ -3,8 +3,8 @@
 //! the JSON report schema.
 
 use tc_sim::harness::{
-    check_well_formed, lookup, preset, presets, report_to_json, run_matrix, standard_five, Json,
-    MatrixRunner, STANDARD_FIVE,
+    lookup, parse_json, preset, presets, report_to_json, run_matrix, standard_five, MatrixRunner,
+    Value, STANDARD_FIVE,
 };
 use tc_sim::{simulate, SimConfig};
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
@@ -163,9 +163,9 @@ fn matrix_runner_memoizes() {
 
 // --- JSON report schema ----------------------------------------------
 
-fn keys(v: &Json) -> Vec<&'static str> {
+fn keys(v: &Value) -> Vec<&str> {
     match v {
-        Json::Object(fields) => fields.iter().map(|(k, _)| *k).collect(),
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.as_ref()).collect(),
         _ => panic!("expected object"),
     }
 }
@@ -232,38 +232,36 @@ fn json_report_schema_is_stable() {
         ]
     );
 
-    fn assert_finite(v: &Json, path: &str) {
+    fn assert_finite(v: &Value, path: &str) {
         match v {
-            Json::Float(f) => assert!(f.is_finite(), "non-finite float at {path}"),
-            Json::Array(items) => {
+            Value::Float(f) => assert!(f.is_finite(), "non-finite float at {path}"),
+            Value::Array(items) => {
                 for (i, item) in items.iter().enumerate() {
                     assert_finite(item, &format!("{path}[{i}]"));
                 }
             }
-            Json::Object(fields) => {
+            Value::Object(fields) => {
                 for (k, item) in fields {
                     assert_finite(item, &format!("{path}.{k}"));
                 }
             }
-            Json::Null | Json::Bool(_) | Json::UInt(_) | Json::Str(_) => {}
+            Value::Null | Value::Bool(_) | Value::UInt(_) | Value::Str(_) => {}
         }
     }
     assert_finite(&json, "report");
 
-    // The rendering passes the harness's structural well-formedness
-    // scan (the same gate `tw bench --check` applies to emitted
-    // artifacts): balanced braces outside strings, terminated strings,
-    // no trailing commas.
-    check_well_formed(&json.render()).expect("compact render is well-formed");
-    check_well_formed(&json.pretty()).expect("pretty render is well-formed");
+    // Both renderings parse, to the same document.
+    let compact = parse_json(&json.render()).expect("compact render parses");
+    let pretty = parse_json(&json.pretty()).expect("pretty render parses");
+    assert_eq!(compact, pretty);
 
     // Headline metrics agree with the report's accessors.
     match json.get("ipc") {
-        Some(Json::Float(v)) => assert!((v - report.ipc()).abs() < 1e-12),
+        Some(Value::Float(v)) => assert!((v - report.ipc()).abs() < 1e-12),
         other => panic!("ipc not a float: {other:?}"),
     }
     match json.get("effective_fetch_rate") {
-        Some(Json::Float(v)) => {
+        Some(Value::Float(v)) => {
             assert!((v - report.effective_fetch_rate()).abs() < 1e-12);
         }
         other => panic!("effective_fetch_rate not a float: {other:?}"),
@@ -279,29 +277,28 @@ fn json_optional_sections_track_config() {
         &SimConfig::icache().with_max_insts(20_000),
     );
     let json = report_to_json(&icache);
-    assert!(matches!(json.get("trace_cache"), Some(Json::Null)));
-    assert!(matches!(json.get("promotions"), Some(Json::Null)));
+    assert!(matches!(json.get("trace_cache"), Some(Value::Null)));
+    assert!(matches!(json.get("promotions"), Some(Value::Null)));
 
     let promo = simulate(
         Benchmark::Compress,
         &SimConfig::promotion(64).with_max_insts(20_000),
     );
     let json = report_to_json(&promo);
-    assert!(matches!(json.get("trace_cache"), Some(Json::Object(_))));
-    assert!(matches!(json.get("promotions"), Some(Json::Object(_))));
+    assert!(matches!(json.get("trace_cache"), Some(Value::Object(_))));
+    assert!(matches!(json.get("promotions"), Some(Value::Object(_))));
 }
 
 // --- invariant sanitizer ----------------------------------------------
 
-/// In test builds the sanitizer defaults to on; a healthy simulation
-/// validates every fill and trace-cache hit without a single violation.
+/// With the sanitizer on, a healthy simulation validates every fill and
+/// trace-cache hit without a single violation.
 #[test]
 fn sanitizer_runs_clean_on_a_real_workload() {
-    let report = simulate(
-        Benchmark::Compress,
-        &SimConfig::baseline().with_max_insts(30_000),
-    );
-    assert!(report.sanitizer.enabled, "sanitizer is on in debug builds");
+    let mut config = SimConfig::baseline().with_max_insts(30_000);
+    config.front_end.sanitize = true;
+    let report = simulate(Benchmark::Compress, &config);
+    assert!(report.sanitizer.enabled, "sanitizer is on");
     assert!(report.sanitizer.checked_fills > 0, "fills were validated");
     assert!(report.sanitizer.checked_hits > 0, "hits were validated");
     assert_eq!(report.sanitizer.errors, 0);
@@ -312,10 +309,9 @@ fn sanitizer_runs_clean_on_a_real_workload() {
 /// warnings would show up here).
 #[test]
 fn sanitizer_runs_clean_with_promotion_and_packing() {
-    let report = simulate(
-        Benchmark::Li,
-        &SimConfig::headline_perf().with_max_insts(30_000),
-    );
+    let mut config = SimConfig::headline_perf().with_max_insts(30_000);
+    config.front_end.sanitize = true;
+    let report = simulate(Benchmark::Li, &config);
     assert!(report.sanitizer.checked_fills > 0);
     assert_eq!(report.sanitizer.errors, 0);
 }
@@ -326,9 +322,9 @@ fn sanitizer_runs_clean_with_promotion_and_packing() {
 /// difference) removed.
 #[test]
 fn sanitizer_toggle_leaves_simulation_results_bit_identical() {
-    fn strip_sanitizer(json: Json) -> Json {
+    fn strip_sanitizer(json: Value) -> Value {
         match json {
-            Json::Object(fields) => Json::Object(
+            Value::Object(fields) => Value::Object(
                 fields
                     .into_iter()
                     .filter(|(k, _)| *k != "sanitizer")

@@ -3,13 +3,13 @@
 //! severity, and the table renderer covers every benchmark.
 
 use tc_sim::harness::{
-    lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, Json,
+    lint_all, lint_benchmark, lint_entry_to_json, lint_errors, lint_table, Value,
 };
 use tc_workloads::{Benchmark, RvBench, WorkloadId};
 
-fn keys(v: &Json) -> Vec<&'static str> {
+fn keys(v: &Value) -> Vec<&str> {
     match v {
-        Json::Object(fields) => fields.iter().map(|(k, _)| *k).collect(),
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.as_ref()).collect(),
         _ => panic!("expected object"),
     }
 }
@@ -54,7 +54,7 @@ fn lint_json_schema_is_stable() {
         ]
     );
     match json.get("loops").expect("loops array") {
-        Json::Array(loops) => {
+        Value::Array(loops) => {
             assert!(!loops.is_empty(), "compress has natural loops");
             for l in loops {
                 assert_eq!(
@@ -75,11 +75,11 @@ fn lint_json_schema_is_stable() {
     }
     // The pass list names the eight-pass pipeline, in execution order.
     match json.get("passes").expect("passes array") {
-        Json::Array(passes) => {
+        Value::Array(passes) => {
             let names: Vec<&str> = passes
                 .iter()
                 .map(|p| match p {
-                    Json::Str(s) => s.as_str(),
+                    Value::Str(s) => s.as_str(),
                     _ => panic!("pass names are strings"),
                 })
                 .collect();
@@ -111,7 +111,7 @@ fn lint_findings_carry_structured_fields() {
     assert!(entry.report.warnings() > 0, "li carries def-use warnings");
     let json = lint_entry_to_json(&entry);
     match json.get("findings").expect("findings array") {
-        Json::Array(findings) => {
+        Value::Array(findings) => {
             assert!(!findings.is_empty());
             for f in findings {
                 assert_eq!(keys(f), ["pass", "severity", "at", "message"]);
@@ -146,7 +146,7 @@ fn lint_json_schema_covers_rv_workloads() {
         ]
     );
     match json.get("loops").expect("loops array") {
-        Json::Array(loops) => assert!(!loops.is_empty(), "crc is loop-structured"),
+        Value::Array(loops) => assert!(!loops.is_empty(), "crc is loop-structured"),
         _ => panic!("expected array"),
     }
 }

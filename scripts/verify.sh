@@ -17,6 +17,11 @@ cargo build --release --offline --examples
 echo "==> cargo test -q"
 cargo test -q --offline --workspace
 
+echo "==> cargo test -q --release"
+# The same suite in the release profile: no test may depend on
+# debug-only defaults such as `cfg!(debug_assertions)`.
+cargo test -q --release --offline --workspace
+
 echo "==> tw lint --all"
 target/release/tw lint --all
 

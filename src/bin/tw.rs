@@ -776,7 +776,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 if f.json {
                     println!(
                         "{}",
-                        harness::Json::Object(vec![
+                        harness::Value::object([
                             ("report", report_to_json(&run.report)),
                             ("timeline", harness::timeline_to_json(tl)),
                         ])
@@ -910,7 +910,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 &options,
             );
             let text = harness::chrome_trace_json(&run).pretty();
-            if let Err(e) = harness::check_well_formed(&text) {
+            if let Err(e) = harness::parse_json(&text) {
                 return Err(TwError::runtime(format!(
                     "internal error: emitted trace is malformed: {e}"
                 )));
@@ -1005,11 +1005,11 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 if f.timeline {
                     println!(
                         "{}",
-                        harness::Json::Object(vec![
+                        harness::Value::object([
                             ("reports", reports_to_json(&completed)),
                             (
                                 "timelines",
-                                harness::Json::Array(
+                                harness::Value::Array(
                                     timelines.iter().map(harness::timeline_to_json).collect()
                                 )
                             ),
@@ -1083,11 +1083,11 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 if f.json {
                     println!(
                         "{}",
-                        harness::Json::Object(vec![
-                            ("file", harness::Json::Str(path.clone())),
-                            ("instructions", harness::Json::UInt(program.len() as u64)),
-                            ("errors", harness::Json::UInt(report.errors() as u64)),
-                            ("warnings", harness::Json::UInt(report.warnings() as u64)),
+                        harness::Value::object([
+                            ("file", harness::Value::Str(path.clone())),
+                            ("instructions", harness::Value::UInt(program.len() as u64)),
+                            ("errors", harness::Value::UInt(report.errors() as u64)),
+                            ("warnings", harness::Value::UInt(report.warnings() as u64)),
                         ])
                         .pretty()
                     );
@@ -1161,7 +1161,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
             let workload = bench.build();
             let plan = harness::build_plan(&workload, f.insts_or(DEFAULT_INSTS), f.jobs)?;
             let text = harness::plan_to_json(&plan).pretty();
-            if let Err(e) = harness::check_well_formed(&text) {
+            if let Err(e) = harness::parse_json(&text) {
                 return Err(TwError::runtime(format!(
                     "internal error: emitted plan is malformed: {e}"
                 )));
