@@ -22,7 +22,7 @@ use std::env;
 use tc_bench::{f2, mean, pct, percent_change, Runner, Table};
 use tc_core::{PackingPolicy, TerminationReason};
 use tc_sim::harness::standard_five;
-use tc_sim::{SimConfig, SimReport};
+use tc_sim::{CycleAccounting, SimConfig, SimReport};
 use tc_workloads::Benchmark;
 
 fn main() {
@@ -545,34 +545,26 @@ fn fig12(r: &mut Runner) {
     println!("Figure 12: accounting of all fetch cycles, promotion + cost-regulated packing");
     println!("(percent of total cycles)\n");
     r.prefetch(&cross(&[SimConfig::headline_perf()]));
-    let mut t = Table::new(&[
-        "bench",
-        "Useful Fetch",
-        "Branch Misses",
-        "Cache Misses",
-        "Full Window",
-        "Traps",
-        "Misfetches",
-        "other",
-    ]);
+    let mut header = vec!["bench"];
+    header.extend(
+        CycleAccounting::default()
+            .categories()
+            .map(|(_, label, _)| label),
+    );
+    header.push("other");
+    let mut t = Table::new(&header);
     for &bench in &Benchmark::ALL {
         let rep = r.run(bench, &SimConfig::headline_perf());
-        let total = rep.cycles.max(1) as f64;
-        let a = &rep.accounting;
-        let accounted = a.total();
-        t.row(vec![
-            bench.short_name().into(),
-            format!("{:.1}%", a.useful_fetch as f64 / total * 100.0),
-            format!("{:.1}%", a.branch_misses as f64 / total * 100.0),
-            format!("{:.1}%", a.cache_misses as f64 / total * 100.0),
-            format!("{:.1}%", a.full_window as f64 / total * 100.0),
-            format!("{:.1}%", a.traps as f64 / total * 100.0),
-            format!("{:.1}%", a.misfetches as f64 / total * 100.0),
-            format!(
-                "{:.1}%",
-                (rep.cycles.saturating_sub(accounted)) as f64 / total * 100.0
-            ),
-        ]);
+        let share =
+            |cycles: u64| format!("{:.1}%", cycles as f64 / rep.cycles.max(1) as f64 * 100.0);
+        let mut row = vec![bench.short_name().into()];
+        row.extend(
+            rep.accounting
+                .categories()
+                .map(|(_, _, cycles)| share(cycles)),
+        );
+        row.push(share(rep.cycles.saturating_sub(rep.accounting.total())));
+        t.row(row);
     }
     println!("{}", t.render());
     println!("[paper: most lost bandwidth is branch mispredictions, except vortex]");

@@ -195,24 +195,8 @@ pub fn smoke_matrix() -> Vec<(WorkloadId, &'static str)> {
     ]
 }
 
-/// Runs one timed cell.
-///
-/// # Panics
-///
-/// Panics if `config_name` is not in the preset registry or `samples`
-/// is zero.
-#[must_use]
-pub fn run_cell<W: Into<WorkloadId>>(
-    benchmark: W,
-    config_name: &'static str,
-    insts: u64,
-    samples: u32,
-) -> BenchCell {
-    run_cell_planned(benchmark, config_name, insts, samples, None)
-}
-
-/// [`run_cell`] with an optional promotion plan attached to the
-/// configuration (the `tw bench --plan auto` path).
+/// Runs one timed cell, with an optional promotion plan attached to
+/// the configuration (the `tw bench --plan auto` path).
 ///
 /// # Panics
 ///
@@ -234,17 +218,7 @@ pub fn run_cell_planned<W: Into<WorkloadId>>(
     if let Some(plan) = plan {
         config = config.with_promotion_plan(plan.clone());
     }
-    let workload = benchmark.build();
-    let mut best_ns = u64::MAX;
-    let mut report = None;
-    for _ in 0..samples {
-        let start = Instant::now();
-        let r = Processor::new(config.clone()).run(&workload);
-        let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        best_ns = best_ns.min(elapsed.max(1));
-        report = Some(r);
-    }
-    let report = report.expect("samples > 0");
+    let (report, best_ns) = timed_run(&config, &benchmark.build(), samples);
     BenchCell {
         benchmark: benchmark.name(),
         config: config_name,
@@ -261,6 +235,9 @@ pub fn run_cell_planned<W: Into<WorkloadId>>(
     }
 }
 
+/// Runs `config` on `workload` `samples` times (at least once) and
+/// returns the last report with the fastest wall-clock time in
+/// nanoseconds.
 fn timed_run(
     config: &SimConfig,
     workload: &tc_workloads::Workload,
@@ -349,19 +326,9 @@ pub fn run_sampling_probes(
 }
 
 /// Runs a whole matrix, invoking `progress` after each finished cell.
-pub fn run_suite(
-    matrix: &[(WorkloadId, &'static str)],
-    insts: u64,
-    samples: u32,
-    progress: impl FnMut(&BenchCell, usize, usize),
-) -> BenchSuite {
-    run_suite_planned(matrix, insts, samples, |_| None, progress)
-}
-
-/// [`run_suite`] with a per-benchmark promotion-plan provider: each
-/// cell's configuration gets `plan_for(benchmark)` attached (`None` runs
-/// the cell plain). The provider is called once per cell, so memoize
-/// expensive plan construction per benchmark.
+/// Each cell's configuration gets `plan_for(benchmark)` attached
+/// (`None` runs the cell plain). The provider is called once per cell,
+/// so memoize expensive plan construction per benchmark.
 pub fn run_suite_planned(
     matrix: &[(WorkloadId, &'static str)],
     insts: u64,
@@ -478,7 +445,7 @@ mod tests {
 
     #[test]
     fn smoke_suite_produces_populated_well_formed_artifact() {
-        let mut suite = run_suite(&smoke_matrix(), 5_000, 1, |_, _, _| {});
+        let mut suite = run_suite_planned(&smoke_matrix(), 5_000, 1, |_| None, |_, _, _| {});
         suite.probes = run_sampling_probes(&smoke_matrix(), 100_000, 1, |_, _, _| {});
         assert_eq!(suite.cells.len(), smoke_matrix().len());
         for cell in &suite.cells {

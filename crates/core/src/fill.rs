@@ -264,12 +264,6 @@ impl FillUnit {
         }
     }
 
-    /// Number of instructions currently pending (un-finalized).
-    #[must_use]
-    pub fn pending_len(&self) -> usize {
-        self.pending.len() + self.current_block.len()
-    }
-
     fn pending_branches(&self) -> usize {
         self.pending.iter().filter(|i| i.needs_prediction()).count()
     }

@@ -142,15 +142,6 @@ impl Machine {
         self.mem[addr as usize]
     }
 
-    /// Writes the data-memory word at `addr` (setup/test helper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` is out of range.
-    pub fn set_mem(&mut self, addr: u64, value: u64) {
-        self.mem[addr as usize] = value;
-    }
-
     /// Copies `words` into memory starting at `base` (setup helper).
     ///
     /// # Panics
@@ -454,11 +445,6 @@ impl<'p> Interpreter<'p> {
     #[must_use]
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Mutable access to the machine (setup helper).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
     }
 
     /// The error that stopped iteration, if any.

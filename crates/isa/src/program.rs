@@ -224,13 +224,6 @@ impl Program {
     pub fn address_taken(&self) -> &[Addr] {
         &self.address_taken
     }
-
-    /// Counts static instructions matching a predicate; handy for workload
-    /// characterization tests.
-    #[must_use]
-    pub fn count_matching(&self, pred: impl Fn(&Instr) -> bool) -> usize {
-        self.instrs.iter().filter(|i| pred(i)).count()
-    }
 }
 
 #[cfg(test)]

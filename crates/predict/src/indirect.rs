@@ -34,12 +34,6 @@ impl IndirectPredictor {
         }
     }
 
-    /// A reasonable default size (1K entries).
-    #[must_use]
-    pub fn default_size() -> IndirectPredictor {
-        IndirectPredictor::new(1024)
-    }
-
     fn index(&self, pc: u64) -> usize {
         (pc as usize) & (self.entries.len() - 1)
     }

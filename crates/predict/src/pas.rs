@@ -1,7 +1,6 @@
 //! A PAs (per-address, set/shared PHT) two-level predictor.
 
 use crate::counter::Counter2;
-use crate::history::GlobalHistory;
 
 /// A PAs two-level predictor: a per-address branch history table feeding
 /// a shared pattern history table of 2-bit counters.
@@ -67,17 +66,6 @@ impl PasPredictor {
         self.pht[pi].update(taken);
         let mask = (1u64 << self.local_bits) - 1;
         self.bht[bi] = ((local << 1) | u64::from(taken)) & mask;
-    }
-}
-
-/// A hybrid-selector-compatible interface: PAs ignores global history, but
-/// accepting it keeps the call sites uniform.
-impl PasPredictor {
-    /// Predicts, ignoring the provided global history (present for call
-    /// site symmetry with gshare).
-    #[must_use]
-    pub fn predict_with(&self, pc: u64, _history: GlobalHistory) -> bool {
-        self.predict(pc)
     }
 }
 

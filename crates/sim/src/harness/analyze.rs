@@ -27,8 +27,6 @@
 //! runner gives for reports.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use tc_analyze::{analyze, classify, DynProfile};
 use tc_isa::{BlockCache, ControlKind, Interpreter, Machine};
@@ -38,6 +36,7 @@ use tc_workloads::Workload;
 use crate::harness::error::TwError;
 use crate::harness::json::Value;
 use crate::harness::parse::parse_json;
+use crate::harness::runner::par_map;
 use crate::harness::table::Table;
 use crate::plan::{PlanEntry, PromotionPlan};
 
@@ -209,34 +208,10 @@ pub fn profile_branches(
             break;
         }
     }
-    // Replay pass: chunks are independent; run them on worker threads
-    // and collect into caller-ordered slots (the runner's idiom).
-    let jobs = jobs.clamp(1, snapshots.len().max(1));
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<ChunkProfile>>> =
-        snapshots.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((machine, limit)) = snapshots.get(i) else {
-                    break;
-                };
-                let counts = profile_chunk(workload, machine.clone(), *limit);
-                if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(counts);
-                }
-            });
-        }
+    // Replay pass: chunks are independent; run them on worker threads.
+    let chunks = par_map(&snapshots, jobs, |(machine, limit)| {
+        profile_chunk(workload, machine.clone(), *limit)
     });
-    let chunks: Vec<ChunkProfile> = slots
-        .into_iter()
-        .map(|slot| match slot.into_inner() {
-            Ok(Some(counts)) => counts,
-            // Scoped workers fill every slot or propagate their panic.
-            _ => unreachable!("scoped worker left its chunk slot empty"),
-        })
-        .collect();
     Ok((merge_chunks(&chunks), profiled))
 }
 

@@ -279,18 +279,16 @@ pub fn report_to_json(r: &SimReport) -> Value {
         ("salvaged", Value::UInt(r.salvaged)),
         (
             "accounting",
-            Value::object([
-                ("useful_fetch", Value::UInt(r.accounting.useful_fetch)),
-                ("branch_misses", Value::UInt(r.accounting.branch_misses)),
-                ("cache_misses", Value::UInt(r.accounting.cache_misses)),
-                ("full_window", Value::UInt(r.accounting.full_window)),
-                ("traps", Value::UInt(r.accounting.traps)),
-                ("misfetches", Value::UInt(r.accounting.misfetches)),
-                (
-                    "unaccounted",
-                    Value::UInt(r.cycles.saturating_sub(r.accounting.total())),
-                ),
-            ]),
+            Value::object(
+                r.accounting
+                    .categories()
+                    .map(|(key, _, cycles)| (key, Value::UInt(cycles)))
+                    .into_iter()
+                    .chain([(
+                        "unaccounted",
+                        Value::UInt(r.cycles.saturating_sub(r.accounting.total())),
+                    )]),
+            ),
         ),
         (
             "fetch",
@@ -412,13 +410,12 @@ pub fn trace_summary_to_json(t: &tc_trace::TraceSummary) -> Value {
         .iter()
         .filter(|k| t.count(**k) > 0)
         .map(|k| (k.name(), Value::UInt(t.count(*k))));
-    Value::object([
-        ("emitted", Value::UInt(t.emitted)),
-        ("recorded", Value::UInt(t.recorded)),
-        ("dropped", Value::UInt(t.dropped)),
-        ("filtered", Value::UInt(t.filtered)),
-        ("counts", Value::object(counts)),
-    ])
+    Value::object(
+        t.totals()
+            .map(|(name, n)| (name, Value::UInt(n)))
+            .into_iter()
+            .chain([("counts", Value::object(counts))]),
+    )
 }
 
 /// A JSON array of reports, in the given order.

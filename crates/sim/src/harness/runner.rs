@@ -108,23 +108,37 @@ fn run_matrix_shared(
     jobs: usize,
     verbose: bool,
 ) -> Vec<SimReport> {
-    let jobs = jobs.clamp(1, cells.len().max(1));
+    par_map(cells, jobs, |(bench, config)| {
+        if verbose {
+            eprintln!("  running {} under {} ...", bench.name(), config.label());
+        }
+        Processor::new(config.clone()).run(&workloads[bench.name()])
+    })
+}
+
+/// Maps `f` over `items` on up to `jobs` scoped worker threads and
+/// returns the results in `items` order. Workers pull the next index
+/// from a shared counter, so the output is identical for every
+/// `jobs ≥ 1` whenever `f` is deterministic; `jobs == 1` degenerates
+/// to a serial loop over the same code path.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    jobs: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let jobs = jobs.clamp(1, items.len().max(1));
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<SimReport>>> = cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some((bench, config)) = cells.get(i) else {
+                let Some(item) = items.get(i) else {
                     break;
                 };
-                if verbose {
-                    eprintln!("  running {} under {} ...", bench.name(), config.label());
-                }
-                let workload = &workloads[bench.name()];
-                let report = Processor::new(config.clone()).run(workload);
+                let result = f(item);
                 if let Ok(mut slot) = slots[i].lock() {
-                    *slot = Some(report);
+                    *slot = Some(result);
                 }
             });
         }
@@ -132,7 +146,7 @@ fn run_matrix_shared(
     slots
         .into_iter()
         .map(|slot| match slot.into_inner() {
-            Ok(Some(report)) => report,
+            Ok(Some(result)) => result,
             // Scoped workers fill every slot or propagate their panic
             // before the scope returns.
             _ => unreachable!("scoped worker left its result slot empty"),

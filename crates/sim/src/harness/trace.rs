@@ -111,15 +111,15 @@ pub fn chrome_trace_json(run: &TracedRun) -> Value {
         ("traceEvents", Value::Array(events)),
         (
             "otherData",
-            Value::object([
-                ("benchmark", Value::Str(run.report.benchmark.clone())),
-                ("config", Value::Str(run.report.config.clone())),
-                ("cycles", Value::UInt(run.report.cycles)),
-                ("emitted", Value::UInt(run.summary.emitted)),
-                ("recorded", Value::UInt(run.summary.recorded)),
-                ("dropped", Value::UInt(run.summary.dropped)),
-                ("filtered", Value::UInt(run.summary.filtered)),
-            ]),
+            Value::object(
+                [
+                    ("benchmark", Value::Str(run.report.benchmark.clone())),
+                    ("config", Value::Str(run.report.config.clone())),
+                    ("cycles", Value::UInt(run.report.cycles)),
+                ]
+                .into_iter()
+                .chain(run.summary.totals().map(|(name, n)| (name, Value::UInt(n)))),
+            ),
         ),
     ])
 }
@@ -285,7 +285,8 @@ fn event_args(event: &TraceEvent) -> Vec<(&'static str, Value)> {
 /// Extracts one timeline metric from a window's tallies.
 type MetricFn = fn(&IntervalStats) -> f64;
 
-/// The four timeline metrics, as (track name, extractor) pairs.
+/// The four timeline rates, as (name, extractor) pairs: the Chrome
+/// counter tracks and the derived fields of [`timeline_to_json`].
 const TIMELINE_TRACKS: [(&str, MetricFn); 4] = [
     ("fetch_rate", IntervalStats::fetch_rate),
     ("tc_hit_rate", IntervalStats::tc_hit_rate),
@@ -324,20 +325,23 @@ pub fn timeline_to_json(timeline: &Timeline) -> Value {
                     .iter()
                     .enumerate()
                     .map(|(i, w)| {
-                        Value::object([
-                            ("start_cycle", Value::UInt(i as u64 * timeline.interval())),
-                            ("fetches", Value::UInt(w.fetches)),
-                            ("insts", Value::UInt(w.insts)),
-                            ("tc_lookups", Value::UInt(w.tc_lookups)),
-                            ("tc_hits", Value::UInt(w.tc_hits)),
-                            ("cond_branches", Value::UInt(w.cond_branches)),
-                            ("promoted", Value::UInt(w.promoted)),
-                            ("mispredicts", Value::UInt(w.mispredicts)),
-                            ("fetch_rate", Value::Float(w.fetch_rate())),
-                            ("tc_hit_rate", Value::Float(w.tc_hit_rate())),
-                            ("mispredict_rate", Value::Float(w.mispredict_rate())),
-                            ("promotion_coverage", Value::Float(w.promotion_coverage())),
-                        ])
+                        Value::object(
+                            [
+                                ("start_cycle", Value::UInt(i as u64 * timeline.interval())),
+                                ("fetches", Value::UInt(w.fetches)),
+                                ("insts", Value::UInt(w.insts)),
+                                ("tc_lookups", Value::UInt(w.tc_lookups)),
+                                ("tc_hits", Value::UInt(w.tc_hits)),
+                                ("cond_branches", Value::UInt(w.cond_branches)),
+                                ("promoted", Value::UInt(w.promoted)),
+                                ("mispredicts", Value::UInt(w.mispredicts)),
+                            ]
+                            .into_iter()
+                            .chain(
+                                TIMELINE_TRACKS
+                                    .map(|(name, metric)| (name, Value::Float(metric(w)))),
+                            ),
+                        )
                     })
                     .collect(),
             ),

@@ -16,7 +16,7 @@ use tc_workloads::Workload;
 
 use crate::config::{ExecutionMode, SimConfig};
 use crate::plan::PlanStats;
-use crate::report::{CycleAccounting, SamplingStats, SimReport};
+use crate::report::{SamplingStats, SimReport};
 
 /// Bubble charged when an indirect branch has no predicted target (the
 /// address is produced at decode rather than fetch).
@@ -26,66 +26,6 @@ const MISFETCH_PENALTY: u64 = 2;
 /// shadow itself can be long on a memory miss; fetch stops meaningfully
 /// polluting after the machine would have filled its window).
 const MAX_WRONG_PATH_FETCHES: u32 = 64;
-
-#[derive(Debug)]
-struct Counters {
-    issued: u64,
-    cond_branches: u64,
-    cond_mispredicts: u64,
-    promoted_faults: u64,
-    promoted_executed: u64,
-    indirect_mispredicts: u64,
-    indirect_executed: u64,
-    return_mispredicts: u64,
-    resolution_cycles: u64,
-    resolution_events: u64,
-    salvaged: u64,
-    /// Per-class activity of plan-covered branches (all zero when no
-    /// promotion plan is attached), indexed by `BranchClass::index`.
-    class_execs: [u64; 4],
-    class_promoted: [u64; 4],
-    class_faults: [u64; 4],
-}
-
-impl Counters {
-    fn new() -> Counters {
-        Counters {
-            issued: 0,
-            cond_branches: 0,
-            cond_mispredicts: 0,
-            promoted_faults: 0,
-            promoted_executed: 0,
-            indirect_mispredicts: 0,
-            indirect_executed: 0,
-            return_mispredicts: 0,
-            resolution_cycles: 0,
-            resolution_events: 0,
-            salvaged: 0,
-            class_execs: [0; 4],
-            class_promoted: [0; 4],
-            class_faults: [0; 4],
-        }
-    }
-
-    /// Attributes one conditional-branch execution to its plan class.
-    fn record_class(
-        &mut self,
-        classes: Option<&std::collections::HashMap<u64, usize>>,
-        pc: Addr,
-        promoted: bool,
-        faulted: bool,
-    ) {
-        let Some(&ci) = classes.and_then(|m| m.get(&pc.byte_addr())) else {
-            return;
-        };
-        self.class_execs[ci] += 1;
-        if faulted {
-            self.class_faults[ci] += 1;
-        } else if promoted {
-            self.class_promoted[ci] += 1;
-        }
-    }
-}
 
 /// What went wrong with a fetch, if anything.
 #[derive(Debug, Clone, Copy)]
@@ -104,8 +44,15 @@ enum FetchUpshot {
 /// mode) without resetting counters or the committed-RAS mirror.
 #[derive(Debug)]
 struct RunState {
-    c: Counters,
-    acct: CycleAccounting,
+    /// The run's counters, accumulated directly into the report the
+    /// run returns; the fields the timing loop does not own are filled
+    /// in by [`Processor::report`].
+    report: SimReport,
+    /// Per-class activity of plan-covered branches (all zero when no
+    /// promotion plan is attached), indexed by `BranchClass::index`.
+    class_execs: [u64; 4],
+    class_promoted: [u64; 4],
+    class_faults: [u64; 4],
     /// Committed return-stack mirror for recovery — same geometry as
     /// the front end's speculative RAS.
     ras_mirror: ReturnStack,
@@ -114,6 +61,27 @@ struct RunState {
     /// The oracle stream ran out (program completed): no further
     /// windows can execute.
     ended: bool,
+}
+
+impl RunState {
+    /// Attributes one conditional-branch execution to its plan class.
+    fn record_class(
+        &mut self,
+        classes: Option<&std::collections::HashMap<u64, usize>>,
+        pc: Addr,
+        promoted: bool,
+        faulted: bool,
+    ) {
+        let Some(&ci) = classes.and_then(|m| m.get(&pc.byte_addr())) else {
+            return;
+        };
+        self.class_execs[ci] += 1;
+        if faulted {
+            self.class_faults[ci] += 1;
+        } else if promoted {
+            self.class_promoted[ci] += 1;
+        }
+    }
 }
 
 /// The simulated processor: front end + engine + memory, driven by a
@@ -200,8 +168,10 @@ impl<T: Tracer> Processor<T> {
         self.oracle.clear();
         self.retire_q.clear();
         let mut rs = RunState {
-            c: Counters::new(),
-            acct: CycleAccounting::default(),
+            report: SimReport::default(),
+            class_execs: [0; 4],
+            class_promoted: [0; 4],
+            class_faults: [0; 4],
             ras_mirror: match self.config.front_end.ras_depth {
                 Some(depth) => ReturnStack::with_depth(depth),
                 None => ReturnStack::ideal(),
@@ -244,7 +214,7 @@ impl<T: Tracer> Processor<T> {
             "workload faulted: {:?}",
             interp.error()
         );
-        self.report(workload, &rs.c, rs.acct, total_cycles, sampling)
+        self.report(workload, rs, total_cycles, sampling)
     }
 
     /// Fast-forwards to stream position `skip` (counting instructions
@@ -278,8 +248,8 @@ impl<T: Tracer> Processor<T> {
         if !rs.ended {
             self.run_timing(program, interp, rs, self.config.max_insts);
         }
-        stats.measured = rs.c.issued;
-        stats.windows = u64::from(rs.c.issued > 0);
+        stats.measured = rs.report.instructions;
+        stats.windows = u64::from(rs.report.instructions > 0);
         stats.total_stream = stats.fast_forwarded + stats.warmed + stats.measured;
         stats
     }
@@ -343,9 +313,9 @@ impl<T: Tracer> Processor<T> {
                 break;
             }
             self.front_end.restore_ras(&rs.ras_mirror);
-            let before = rs.c.issued;
+            let before = rs.report.instructions;
             self.run_timing(program, interp, rs, want);
-            let measured = rs.c.issued - before;
+            let measured = rs.report.instructions - before;
             consumed += measured;
             stats.windows += 1;
             if T::ENABLED {
@@ -367,7 +337,7 @@ impl<T: Tracer> Processor<T> {
                 self.engine.drain_retired(rs.cycle);
             }
         }
-        stats.measured = rs.c.issued;
+        stats.measured = rs.report.instructions;
         stats.total_stream = stats.fast_forwarded + stats.warmed + stats.measured;
         stats
     }
@@ -430,9 +400,9 @@ impl<T: Tracer> Processor<T> {
             return;
         };
         let mut pc = first.pc;
-        let start = rs.c.issued;
+        let start = rs.report.instructions;
 
-        while rs.c.issued - start < budget {
+        while rs.report.instructions - start < budget {
             refill(&mut self.oracle, interp);
             if self.oracle.is_empty() {
                 rs.ended = true;
@@ -462,7 +432,7 @@ impl<T: Tracer> Processor<T> {
                         occupancy: self.engine.occupancy() as u32,
                     });
                 }
-                rs.acct.full_window += wait;
+                rs.report.accounting.full_window += wait;
                 rs.cycle += wait;
                 continue;
             }
@@ -470,7 +440,7 @@ impl<T: Tracer> Processor<T> {
             // --- Fetch ---
             let bundle = self.front_end.fetch(pc, program, &mut self.mem);
             if bundle.icache_latency > 0 {
-                rs.acct.cache_misses += u64::from(bundle.icache_latency);
+                rs.report.accounting.cache_misses += u64::from(bundle.icache_latency);
                 rs.cycle += u64::from(bundle.icache_latency);
             }
             let fetch_cycle = rs.cycle;
@@ -510,7 +480,7 @@ impl<T: Tracer> Processor<T> {
                 self.retire_q.push_back((times.retire, rec));
                 rs.last_retire = rs.last_retire.max(times.retire);
                 last_times = Some(times);
-                rs.c.issued += 1;
+                rs.report.instructions += 1;
                 validated += 1;
                 match rec.control_kind() {
                     ControlKind::Call | ControlKind::IndirectCall => {
@@ -529,7 +499,7 @@ impl<T: Tracer> Processor<T> {
                     // downstream of an escaped corruption — treat it as
                     // a mispredict rather than panicking.
                     let predicted = fi.pred_taken.unwrap_or(!rec.taken);
-                    rs.c.record_class(
+                    rs.record_class(
                         self.plan_classes.as_ref(),
                         rec.pc,
                         fi.promoted,
@@ -538,9 +508,9 @@ impl<T: Tracer> Processor<T> {
                     if fi.promoted {
                         promoted_in_fetch += 1;
                         if predicted == rec.taken {
-                            rs.c.promoted_executed += 1;
+                            rs.report.promoted_executed += 1;
                         } else {
-                            rs.c.promoted_faults += 1;
+                            rs.report.promoted_faults += 1;
                             if T::ENABLED {
                                 self.front_end
                                     .tracer_mut()
@@ -550,10 +520,10 @@ impl<T: Tracer> Processor<T> {
                             break;
                         }
                     } else {
-                        rs.c.cond_branches += 1;
+                        rs.report.cond_branches += 1;
                         outcomes.push(rec.taken);
                         if predicted != rec.taken {
-                            rs.c.cond_mispredicts += 1;
+                            rs.report.cond_mispredicts += 1;
                             if T::ENABLED {
                                 self.front_end
                                     .tracer_mut()
@@ -576,7 +546,7 @@ impl<T: Tracer> Processor<T> {
                     NextPc::Known(a) => resolved_next = Some(a),
                     NextPc::Return { predicted } => {
                         let actual = self.oracle.front().map(|r| r.pc);
-                        if self.config.ideal_returns {
+                        if self.config.front_end.ras_depth.is_none() {
                             // Ideal RAS: the architectural target.
                             resolved_next = actual;
                         } else if let Some(actual) = actual {
@@ -584,7 +554,7 @@ impl<T: Tracer> Processor<T> {
                             match predicted {
                                 Some(p) if p == actual => {}
                                 Some(_) => {
-                                    rs.c.return_mispredicts += 1;
+                                    rs.report.return_mispredicts += 1;
                                     if T::ENABLED {
                                         self.front_end.tracer_mut().emit(
                                             TraceEvent::ReturnMispredict {
@@ -603,14 +573,14 @@ impl<T: Tracer> Processor<T> {
                         pc: ind_pc,
                         predicted,
                     } => {
-                        rs.c.indirect_executed += 1;
+                        rs.report.indirect_executed += 1;
                         let actual = self.oracle.front().map(|r| r.pc);
                         if let Some(actual) = actual {
                             self.front_end.train_indirect(ind_pc, actual);
                             match predicted {
                                 Some(p) if p == actual => resolved_next = Some(actual),
                                 Some(_) => {
-                                    rs.c.indirect_mispredicts += 1;
+                                    rs.report.indirect_mispredicts += 1;
                                     if T::ENABLED {
                                         self.front_end
                                             .tracer_mut()
@@ -649,7 +619,7 @@ impl<T: Tracer> Processor<T> {
                     let times = self.engine.issue(&rec, fetch_cycle, &mut self.mem);
                     self.retire_q.push_back((times.retire, rec));
                     rs.last_retire = rs.last_retire.max(times.retire);
-                    rs.c.issued += 1;
+                    rs.report.instructions += 1;
                     salvaged += 1;
                     match rec.control_kind() {
                         ControlKind::Call | ControlKind::IndirectCall => {
@@ -662,17 +632,17 @@ impl<T: Tracer> Processor<T> {
                     }
                     if rec.is_cond_branch() {
                         history_replay.push(rec.taken);
-                        rs.c.record_class(self.plan_classes.as_ref(), rec.pc, fi.promoted, false);
+                        rs.record_class(self.plan_classes.as_ref(), rec.pc, fi.promoted, false);
                         if fi.promoted {
                             promoted_in_fetch += 1;
-                            rs.c.promoted_executed += 1;
+                            rs.report.promoted_executed += 1;
                         } else {
-                            rs.c.cond_branches += 1;
+                            rs.report.cond_branches += 1;
                             outcomes.push(rec.taken);
                         }
                     }
                 }
-                rs.c.salvaged += salvaged as u64;
+                rs.report.salvaged += salvaged as u64;
             }
 
             // --- Stats + training ---
@@ -709,14 +679,14 @@ impl<T: Tracer> Processor<T> {
             // --- Advance ---
             match upshot {
                 FetchUpshot::Clean => {
-                    rs.acct.useful_fetch += 1;
+                    rs.report.accounting.useful_fetch += 1;
                     rs.cycle += 1;
                     if trap_fetched {
                         // Serializing: fetch stalls until the trap
                         // retires.
                         let trap_retire = last_times.map_or(rs.cycle, |t| t.retire);
                         if trap_retire > rs.cycle {
-                            rs.acct.traps += trap_retire - rs.cycle;
+                            rs.report.accounting.traps += trap_retire - rs.cycle;
                             rs.cycle = trap_retire;
                         }
                     }
@@ -734,8 +704,8 @@ impl<T: Tracer> Processor<T> {
                             pc: bundle.fetch_pc,
                         });
                     }
-                    rs.acct.useful_fetch += 1;
-                    rs.acct.misfetches += MISFETCH_PENALTY;
+                    rs.report.accounting.useful_fetch += 1;
+                    rs.report.accounting.misfetches += MISFETCH_PENALTY;
                     rs.cycle += 1 + MISFETCH_PENALTY;
                     match resolved_next.or_else(|| self.oracle.front().map(|r| r.pc)) {
                         Some(next) => pc = next,
@@ -746,17 +716,17 @@ impl<T: Tracer> Processor<T> {
                     }
                 }
                 FetchUpshot::Mispredict { done } => {
-                    rs.acct.useful_fetch += 1;
+                    rs.report.accounting.useful_fetch += 1;
                     let redirect = done + 1;
-                    rs.c.resolution_cycles += done.saturating_sub(fetch_cycle);
-                    rs.c.resolution_events += 1;
+                    rs.report.resolution_cycles += done.saturating_sub(fetch_cycle);
+                    rs.report.resolution_events += 1;
                     let lost = redirect.saturating_sub(fetch_cycle + 1);
-                    rs.acct.branch_misses += lost;
+                    rs.report.accounting.branch_misses += lost;
 
                     // Wrong-path fetching during the shadow: pollutes the
                     // caches and LRU state, then all speculative
                     // predictor state is repaired.
-                    if self.config.model_wrong_path && lost > 0 {
+                    if lost > 0 {
                         self.run_wrong_path(&bundle, program, fetch_cycle, redirect);
                     }
                     // Repair: history snapshot + replay of actual
@@ -849,30 +819,20 @@ impl<T: Tracer> Processor<T> {
         }
     }
 
+    /// Completes the run's report with the state the timing loop does
+    /// not own: front-end, cache, engine, fault, trace and plan stats.
     fn report(
         &self,
         workload: &Workload,
-        c: &Counters,
-        acct: CycleAccounting,
+        rs: RunState,
         cycles: u64,
         sampling: Option<SamplingStats>,
     ) -> SimReport {
         SimReport {
             benchmark: workload.name().to_owned(),
             config: self.config.label(),
-            instructions: c.issued,
             cycles,
-            accounting: acct,
             fetch: self.front_end.stats().clone(),
-            cond_branches: c.cond_branches,
-            cond_mispredicts: c.cond_mispredicts,
-            promoted_faults: c.promoted_faults,
-            promoted_executed: c.promoted_executed,
-            indirect_mispredicts: c.indirect_mispredicts,
-            indirect_executed: c.indirect_executed,
-            return_mispredicts: c.return_mispredicts,
-            resolution_cycles: c.resolution_cycles,
-            resolution_events: c.resolution_events,
             trace_cache: self.front_end.trace_cache().map(|tc| *tc.stats()),
             promotions: self
                 .front_end
@@ -883,7 +843,6 @@ impl<T: Tracer> Processor<T> {
             dcache: *self.mem.dcache_stats(),
             l2: *self.mem.l2_stats(),
             engine: *self.engine.stats(),
-            salvaged: c.salvaged,
             sanitizer: self.front_end.sanitizer().stats(),
             fault: self.injector.as_ref().map(|_| {
                 let q = self.front_end.quarantine_stats();
@@ -903,15 +862,16 @@ impl<T: Tracer> Processor<T> {
                 entries: p.len() as u64,
                 never_promote: p.never_promote(),
                 class_branches: p.class_counts(),
-                class_execs: c.class_execs,
-                class_promoted: c.class_promoted,
-                class_faults: c.class_faults,
+                class_execs: rs.class_execs,
+                class_promoted: rs.class_promoted,
+                class_faults: rs.class_faults,
                 class_promotions: self
                     .front_end
                     .fill_unit()
                     .and_then(|f| f.bias_table())
                     .map_or([0; 4], tc_predict::BiasTable::class_promotions),
             }),
+            ..rs.report
         }
     }
 }

@@ -30,24 +30,20 @@ impl CycleAccounting {
     /// Total accounted cycles.
     #[must_use]
     pub fn total(&self) -> u64 {
-        self.useful_fetch
-            + self.branch_misses
-            + self.cache_misses
-            + self.full_window
-            + self.traps
-            + self.misfetches
+        self.categories().iter().map(|&(_, _, cycles)| cycles).sum()
     }
 
-    /// The six categories with the paper's labels, in legend order.
+    /// The six categories as `(JSON key, paper label, cycles)`, in the
+    /// paper's legend order.
     #[must_use]
-    pub fn categories(&self) -> [(&'static str, u64); 6] {
+    pub fn categories(&self) -> [(&'static str, &'static str, u64); 6] {
         [
-            ("Useful Fetch", self.useful_fetch),
-            ("Branch Misses", self.branch_misses),
-            ("Cache Misses", self.cache_misses),
-            ("Full Window", self.full_window),
-            ("Traps", self.traps),
-            ("Misfetches", self.misfetches),
+            ("useful_fetch", "Useful Fetch", self.useful_fetch),
+            ("branch_misses", "Branch Misses", self.branch_misses),
+            ("cache_misses", "Cache Misses", self.cache_misses),
+            ("full_window", "Full Window", self.full_window),
+            ("traps", "Traps", self.traps),
+            ("misfetches", "Misfetches", self.misfetches),
         ]
     }
 }
@@ -89,7 +85,7 @@ impl SamplingStats {
 }
 
 /// The complete result of one simulation run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SimReport {
     /// Workload name.
     pub benchmark: String,
@@ -230,8 +226,6 @@ mod tests {
 
     fn empty_report() -> SimReport {
         SimReport {
-            benchmark: "t".into(),
-            config: "c".into(),
             instructions: 100,
             cycles: 50,
             accounting: CycleAccounting {
@@ -242,28 +236,15 @@ mod tests {
                 traps: 1,
                 misfetches: 1,
             },
-            fetch: FetchStats::new(),
             cond_branches: 20,
             cond_mispredicts: 2,
             promoted_faults: 1,
             promoted_executed: 9,
             indirect_mispredicts: 1,
             indirect_executed: 4,
-            return_mispredicts: 0,
             resolution_cycles: 30,
             resolution_events: 3,
-            trace_cache: None,
-            promotions: None,
-            icache: CacheStats::default(),
-            dcache: CacheStats::default(),
-            l2: CacheStats::default(),
-            engine: EngineStats::default(),
-            salvaged: 0,
-            sanitizer: SanitizerStats::default(),
-            fault: None,
-            trace: None,
-            sampling: None,
-            plan: None,
+            ..SimReport::default()
         }
     }
 

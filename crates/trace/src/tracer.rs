@@ -76,6 +76,18 @@ pub struct TraceSummary {
 }
 
 impl TraceSummary {
+    /// The four ring-accounting totals as `(name, count)`, in report
+    /// order.
+    #[must_use]
+    pub fn totals(&self) -> [(&'static str, u64); 4] {
+        [
+            ("emitted", self.emitted),
+            ("recorded", self.recorded),
+            ("dropped", self.dropped),
+            ("filtered", self.filtered),
+        ]
+    }
+
     /// Emit count for one event kind.
     #[must_use]
     pub fn count(&self, kind: EventKind) -> u64 {

@@ -22,6 +22,12 @@ echo "==> cargo test -q --release"
 # debug-only defaults such as `cfg!(debug_assertions)`.
 cargo test -q --release --offline --workspace
 
+echo "==> cargo test --release (perfbench)"
+# The benchmark package sits outside the workspace. Its short-run test
+# fails when any pinned report or serve-body digest changes, so a byte
+# change in JSON output fails here rather than in a benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> tw lint --all"
 target/release/tw lint --all
 
@@ -243,4 +249,4 @@ rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + lint + bench smoke + compare + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "OK: build + tests + perfbench pins + lint + bench smoke + compare + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"

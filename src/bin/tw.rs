@@ -262,7 +262,7 @@ fn print_report(r: &SimReport) {
         }
     }
     println!("cycle accounting:");
-    for (label, cycles) in r.accounting.categories() {
+    for (_, label, cycles) in r.accounting.categories() {
         println!(
             "  {label:14} {:5.1}%",
             cycles as f64 / r.cycles.max(1) as f64 * 100.0
@@ -920,14 +920,14 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
             // the atomic write but not the CRC stamp.
             harness::write_atomic(std::path::Path::new(&out), &format!("{text}\n"))
                 .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
-            println!(
-                "{}: {} events emitted, {} recorded, {} dropped, {} filtered",
-                out,
-                run.summary.emitted,
-                run.summary.recorded,
-                run.summary.dropped,
-                run.summary.filtered
-            );
+            // "<out>: N events emitted, N recorded, N dropped, N filtered"
+            let totals: Vec<String> = run
+                .summary
+                .totals()
+                .iter()
+                .map(|(name, n)| format!("{n} {name}"))
+                .collect();
+            println!("{out}: {}", totals.join(", ").replacen(' ', " events ", 1));
             println!(
                 "load it in chrome://tracing or https://ui.perfetto.dev ({} cycles simulated)",
                 run.report.cycles

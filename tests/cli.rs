@@ -1,7 +1,8 @@
-//! End-to-end CLI error-layer tests: every malformed input must exit
+//! End-to-end CLI tests. Error layer: every malformed input must exit
 //! non-zero with a single `tw: <message>` diagnostic on stderr — no
 //! panic, no backtrace, and the conventional exit-code split (2 for
-//! usage errors, 1 for runtime failures).
+//! usage errors, 1 for runtime failures). Text renderers: stdout of the
+//! report-printing commands matches committed transcripts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -532,4 +533,76 @@ fn corrupted_bench_artifact_names_the_crc_in_check_and_compare() {
             stderr_line(out)
         );
     }
+}
+
+/// The human-readable renderers, pinned: `tw` stdout on 20k-instruction
+/// compress runs must match the transcripts under `tests/text/` byte for
+/// byte (the JSON reports are pinned separately by the golden fixtures).
+#[test]
+fn text_output_matches_committed_transcripts() {
+    const RUN: [&str; 6] = [
+        "--bench", "compress", "--config", "headline", "--insts", "20000",
+    ];
+    const FAULTS: [&str; 10] = [
+        "--workload",
+        "compress",
+        "--preset",
+        "headline",
+        "--seed",
+        "1",
+        "--rate",
+        "1e-3",
+        "--insts",
+        "20000",
+    ];
+    let cases: [(&str, Vec<&str>); 5] = [
+        ("sim.txt", [&["sim"][..], &RUN].concat()),
+        (
+            "sim_sample.txt",
+            [&["sim"][..], &RUN, &["--sample", "2000/10000"]].concat(),
+        ),
+        (
+            "sim_timeline.txt",
+            [&["sim"][..], &RUN, &["--timeline", "--interval", "1000"]].concat(),
+        ),
+        ("faults.txt", [&["faults"][..], &FAULTS].concat()),
+        (
+            "trace.txt",
+            [
+                "trace",
+                "--workload",
+                "compress",
+                "--preset",
+                "headline",
+                "--insts",
+                "20000",
+                "--limit",
+                "2000",
+                "--out",
+                "trace.json",
+            ]
+            .to_vec(),
+        ),
+    ];
+    // `tw trace` prints the path it wrote, so every case runs in a
+    // scratch directory and names its output relatively.
+    let dir = std::env::temp_dir().join(format!("tw-cli-test-{}-text", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir creates");
+    let expected = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/text");
+    for (file, args) in &cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_tw"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("tw binary runs");
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_line(&out));
+        let want = std::fs::read_to_string(expected.join(file)).expect("transcript reads");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            want,
+            "`tw {}` differs from tests/text/{file}",
+            args.join(" ")
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
