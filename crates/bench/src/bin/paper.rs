@@ -19,9 +19,8 @@
 
 use std::env;
 
-use tc_bench::{f2, mean, pct, percent_change, Runner, Table};
 use tc_core::{PackingPolicy, TerminationReason};
-use tc_sim::harness::standard_five;
+use tc_sim::harness::{f2, mean, pct, percent_change, standard_five, MatrixRunner, Table};
 use tc_sim::{CycleAccounting, SimConfig, SimReport};
 use tc_workloads::Benchmark;
 
@@ -59,7 +58,7 @@ fn main() {
         i += 1;
     }
 
-    let mut runner = Runner::new(insts, verbose);
+    let mut runner = MatrixRunner::new(insts, verbose);
     if let Some(jobs) = jobs {
         runner = runner.with_jobs(jobs);
     }
@@ -91,7 +90,7 @@ fn main() {
     }
 }
 
-fn run_experiment(name: &str, r: &mut Runner) {
+fn run_experiment(name: &str, r: &mut MatrixRunner) {
     println!("\n================================================================");
     match name {
         "fig4" => fig4_6(r, false),
@@ -133,7 +132,7 @@ fn cross(configs: &[SimConfig]) -> Vec<(Benchmark, SimConfig)> {
 
 // --- Figures 4 and 6: fetch-size histograms for gcc -------------------
 
-fn fig4_6(r: &mut Runner, promoted: bool) {
+fn fig4_6(r: &mut MatrixRunner, promoted: bool) {
     let (fig, config) = if promoted {
         (
             "Figure 6: fetch-size breakdown, gcc, 128KB trace cache + promotion (t=64)",
@@ -180,7 +179,7 @@ fn fig4_6(r: &mut Runner, promoted: bool) {
 
 // --- Table 2: effective fetch rate vs promotion threshold -------------
 
-fn table2(r: &mut Runner) {
+fn table2(r: &mut MatrixRunner) {
     println!("Table 2: average effective fetch rate with and without branch promotion\n");
     let paper = [
         ("icache", 5.11),
@@ -218,7 +217,7 @@ fn table2(r: &mut Runner) {
 
 // --- Figure 7: change in conditional mispredictions -------------------
 
-fn fig7(r: &mut Runner) {
+fn fig7(r: &mut MatrixRunner) {
     println!("Figure 7: % change vs baseline in mispredicted conditional branches");
     println!("(promotion thresholds 64 / 128 / 256; negative = fewer mispredicts)\n");
     r.prefetch(&cross(&[
@@ -259,7 +258,7 @@ fn fig7(r: &mut Runner) {
 
 // --- Table 3: predictions required per fetch --------------------------
 
-fn table3(r: &mut Runner) {
+fn table3(r: &mut MatrixRunner) {
     println!("Table 3: dynamic predictions required per fetch cycle (suite average)\n");
     let mut t = Table::new(&["configuration", "0 or 1", "2", "3", "paper"]);
     for (label, config, paper) in [
@@ -287,7 +286,7 @@ fn table3(r: &mut Runner) {
 
 // --- Figure 9: packing vs baseline fetch rates -------------------------
 
-fn fig9(r: &mut Runner) {
+fn fig9(r: &mut MatrixRunner) {
     println!("Figure 9: effective fetch rates with and without trace packing\n");
     r.prefetch(&cross(&[
         SimConfig::baseline(),
@@ -322,7 +321,7 @@ fn fig9(r: &mut Runner) {
 
 // --- Figure 10: all five configurations --------------------------------
 
-fn fig10(r: &mut Runner) {
+fn fig10(r: &mut MatrixRunner) {
     println!("Figure 10: effective fetch rates for all techniques\n");
     // The five standard front ends, straight from the harness registry.
     let configs = standard_five();
@@ -359,7 +358,7 @@ fn fig10(r: &mut Runner) {
 
 // --- Table 4: packing's cache-miss cost --------------------------------
 
-fn table4(r: &mut Runner) {
+fn table4(r: &mut MatrixRunner) {
     println!("Table 4: % increase in fetch cache-miss cycles of packing schemes");
     println!("over the promotion-only configuration (threshold 64)\n");
     let six = [
@@ -478,7 +477,7 @@ fn table4(r: &mut Runner) {
 
 // --- Figures 11 and 16: overall performance ----------------------------
 
-fn fig11_16(r: &mut Runner, perfect: bool) {
+fn fig11_16(r: &mut MatrixRunner, perfect: bool) {
     let (fig, note) = if perfect {
         (
             "Figure 16: IPC with an ideal, aggressive execution engine (perfect memory disambiguation)",
@@ -541,7 +540,7 @@ fn fig11_16(r: &mut Runner, perfect: bool) {
 
 // --- Figure 12: fetch-cycle accounting ----------------------------------
 
-fn fig12(r: &mut Runner) {
+fn fig12(r: &mut MatrixRunner) {
     println!("Figure 12: accounting of all fetch cycles, promotion + cost-regulated packing");
     println!("(percent of total cycles)\n");
     r.prefetch(&cross(&[SimConfig::headline_perf()]));
@@ -572,7 +571,7 @@ fn fig12(r: &mut Runner) {
 
 // --- Figures 13-15: misprediction analyses -------------------------------
 
-fn change_table(r: &mut Runner, title: &str, note: &str, metric: impl Fn(&SimReport) -> f64) {
+fn change_table(r: &mut MatrixRunner, title: &str, note: &str, metric: impl Fn(&SimReport) -> f64) {
     println!("{title}\n");
     r.prefetch(&cross(&[SimConfig::baseline(), SimConfig::headline_perf()]));
     let mut t = Table::new(&["bench", "baseline", "promo+pack", "change"]);
@@ -594,7 +593,7 @@ fn change_table(r: &mut Runner, title: &str, note: &str, metric: impl Fn(&SimRep
     println!("{note}");
 }
 
-fn fig13(r: &mut Runner) {
+fn fig13(r: &mut MatrixRunner) {
     change_table(
         r,
         "Figure 13: % change vs baseline in fetch cycles lost to mispredictions",
@@ -603,7 +602,7 @@ fn fig13(r: &mut Runner) {
     );
 }
 
-fn fig14(r: &mut Runner) {
+fn fig14(r: &mut MatrixRunner) {
     change_table(
         r,
         "Figure 14: % change vs baseline in mispredicted branches (cond + indirect)",
@@ -612,7 +611,7 @@ fn fig14(r: &mut Runner) {
     );
 }
 
-fn fig15(r: &mut Runner) {
+fn fig15(r: &mut MatrixRunner) {
     change_table(
         r,
         "Figure 15: % change vs baseline in mispredicted-branch resolution time",
@@ -623,7 +622,7 @@ fn fig15(r: &mut Runner) {
 
 // --- Ablations beyond the paper ------------------------------------------
 
-fn ablation_grid(r: &mut Runner) {
+fn ablation_grid(r: &mut MatrixRunner) {
     println!("Ablation: promotion threshold x packing policy (avg effective fetch rate)\n");
     let policies = [
         ("atomic", PackingPolicy::Atomic),
@@ -655,7 +654,7 @@ fn ablation_grid(r: &mut Runner) {
     println!("{}", t.render());
 }
 
-fn ablation_tcsize(r: &mut Runner) {
+fn ablation_tcsize(r: &mut MatrixRunner) {
     println!("Ablation: trace-cache size vs packing (avg effective fetch rate; §5 predicts");
     println!("regulation matters more below 128KB)\n");
     let mut t = Table::new(&[
@@ -687,7 +686,7 @@ fn ablation_tcsize(r: &mut Runner) {
     println!("{}", t.render());
 }
 
-fn ablation_bias(r: &mut Runner) {
+fn ablation_bias(r: &mut MatrixRunner) {
     println!("Ablation: bias-table geometry (promotion t=64, avg effective fetch rate");
     println!("and promoted-fault counts)\n");
     let mut t = Table::new(&["bias table", "eff fetch rate", "faults (suite total)"]);
@@ -710,7 +709,7 @@ fn ablation_bias(r: &mut Runner) {
     println!("{}", t.render());
 }
 
-fn ablation_issue(r: &mut Runner) {
+fn ablation_issue(r: &mut MatrixRunner) {
     println!("Ablation: partial matching x inactive issue (Friendly et al., the");
     println!("baseline's fetch/issue techniques; suite averages, baseline TC)\n");
     let mut t = Table::new(&["configuration", "eff fetch rate", "IPC"]);
@@ -738,7 +737,7 @@ fn ablation_issue(r: &mut Runner) {
     println!("[Friendly et al. report ~15% from these two techniques together]");
 }
 
-fn ablation_static(r: &mut Runner) {
+fn ablation_static(r: &mut MatrixRunner) {
     println!("Ablation: static (profile-guided) vs dynamic promotion (t=64)");
     println!("(profile: first 500K instructions, min bias 95%, min 32 executions)\n");
     r.prefetch(&cross(&[SimConfig::promotion(64)]));
@@ -770,7 +769,7 @@ fn ablation_static(r: &mut Runner) {
     println!(" but cannot adapt when a branch's bias changes at run time]");
 }
 
-fn ablation_passoc(r: &mut Runner) {
+fn ablation_passoc(r: &mut MatrixRunner) {
     println!("Ablation: trace-cache path associativity (suite averages)\n");
     let mut t = Table::new(&["configuration", "eff fetch rate", "tc miss ratio"]);
     for (label, passoc) in [("no path assoc (paper)", false), ("path associative", true)] {
@@ -800,7 +799,7 @@ fn ablation_passoc(r: &mut Runner) {
     println!("{}", t.render());
 }
 
-fn ablation_ras(r: &mut Runner) {
+fn ablation_ras(r: &mut MatrixRunner) {
     println!("Ablation: return-address stack depth (suite averages; the paper");
     println!("models an ideal RAS)\n");
     let mut t = Table::new(&[
@@ -836,7 +835,7 @@ fn ablation_ras(r: &mut Runner) {
     println!(" recursion rather than wrong-path fetches]");
 }
 
-fn ablation_hybrid(r: &mut Runner) {
+fn ablation_hybrid(r: &mut MatrixRunner) {
     println!("Ablation: single-prediction hybrid predictor with the trace cache");
     println!("(§4: \"promotion opens the possibility of using aggressive hybrid");
     println!("single branch prediction with the trace cache\")\n");

@@ -1,12 +1,11 @@
-//! Support library for the `paper` harness.
+//! Home of the `paper` harness and the microbenchmarks.
 //!
 //! The experiment machinery (memoizing parallel runner, table renderer,
-//! statistics helpers) lives in `tc_sim::harness`; this crate re-exports
-//! it under the historical names so the `paper` binary and external
-//! scripts keep working, and adds two dependency-free timing harnesses
-//! (the workspace builds offline, so Criterion is not available):
-//! [`micro`], which backs the `benches/` targets, and [`suite`], the
-//! benchmark × configuration wall-clock matrix behind `tw bench`.
+//! statistics helpers) lives in `tc_sim::harness`. This crate adds the
+//! dependency-free timing harness [`micro`], which backs the `benches/`
+//! targets (the workspace builds offline, so Criterion is not
+//! available). Whole-simulator throughput is measured by the standalone
+//! `perfbench/` package.
 //!
 //! The binary `paper` (see `src/bin/paper.rs`) regenerates every table
 //! and figure of the paper's evaluation:
@@ -18,8 +17,4 @@
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
-pub use tc_sim::harness::{f2, mean, pct, percent_change, MatrixRunner as Runner, Table};
-
-pub mod compare;
 pub mod micro;
-pub mod suite;

@@ -2,7 +2,7 @@
 //! envelope.
 //!
 //! Every durable artifact the `tw` binary produces (`tw-ckpt/v1`,
-//! `tw-plan/v1`, `tw-bench/v1`, Chrome traces) flows through
+//! `tw-plan/v1`, Chrome traces) flows through
 //! [`write_atomic`]: the bytes land in a temp file *in the target
 //! directory*, are fsynced, and are then renamed over the final path.
 //! A crash at any point leaves either the complete old artifact or the
@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn unstamped_text_is_accepted_as_legacy() {
         assert_eq!(
-            verify("{\"schema\":\"tw-bench/v1\",\"cells\":[]}"),
+            verify("{\"schema\":\"tw-plan/v1\",\"branches\":[]}"),
             Ok(Integrity::Unstamped)
         );
         assert_eq!(verify("not json at all"), Ok(Integrity::Unstamped));

@@ -18,6 +18,7 @@ use super::json::Value;
 /// including trailing garbage after the top-level value.
 pub fn parse_json(text: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
         depth: 0,
@@ -41,7 +42,10 @@ pub fn parse_json(text: &str) -> Result<Value, String> {
 /// any legitimate document.
 pub const MAX_JSON_DEPTH: usize = 128;
 
+/// Reads `text` through its bytes. `pos` only ever advances past ASCII
+/// bytes or whole characters, so it always sits on a character boundary.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -159,9 +163,7 @@ impl Parser<'_> {
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through unchanged;
                     // advance by whole characters, not bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let Some(c) = rest.chars().next() else {
+                    let Some(c) = self.text[self.pos..].chars().next() else {
                         return Err("unterminated string".to_string());
                     };
                     out.push(c);
@@ -247,10 +249,10 @@ mod tests {
     #[test]
     fn parses_nested_document() {
         let v = parse_json(
-            r#"{"schema":"tw-bench/v1","cells":[{"benchmark":"gcc","ns_per_cycle":12.5,"ok":true,"note":null}]}"#,
+            r#"{"schema":"tw-plan/v1","cells":[{"benchmark":"gcc","ns_per_cycle":12.5,"ok":true,"note":null}]}"#,
         )
         .unwrap();
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("tw-bench/v1"));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some("tw-plan/v1"));
         let cells = v.get("cells").and_then(Value::as_array).unwrap();
         assert_eq!(cells.len(), 1);
         assert_eq!(
@@ -263,9 +265,11 @@ mod tests {
 
     #[test]
     fn decodes_escapes_and_negative_exponent_numbers() {
-        let v = parse_json(r#"{"s":"a\"b\\c\ndA","n":-1.5e-2}"#).unwrap();
+        let v = parse_json(r#"{"s":"a\"b\\c\ndA","n":-1.5e-2,"raw":"é€𝄞x"}"#).unwrap();
         assert_eq!(v.get("s").and_then(Value::as_str), Some("a\"b\\c\ndA"));
         assert!((v.get("n").and_then(Value::as_f64).unwrap() + 0.015).abs() < 1e-12);
+        // Raw 2-, 3- and 4-byte characters pass through unchanged.
+        assert_eq!(v.get("raw").and_then(Value::as_str), Some("é€𝄞x"));
     }
 
     #[test]

@@ -13,11 +13,15 @@
 //!    documented tolerance, DESIGN.md §13).
 //! 3. Sampling keeps the harness determinism contract: parallel matrix
 //!    execution is observationally identical to serial.
+//! 4. A promotion plan from `build_plan` (`--plan auto`) raises
+//!    promotion coverage without costing fetch bandwidth.
 
 use tc_isa::{BlockCache, Interpreter};
-use tc_sim::harness::{parse_checkpoint, report_to_json, run_matrix, Checkpoint};
+use tc_sim::harness::{
+    build_plan, default_jobs, lookup, parse_checkpoint, report_to_json, run_matrix, Checkpoint,
+};
 use tc_sim::{Processor, SimConfig, SimReport};
-use tc_workloads::Benchmark;
+use tc_workloads::{Benchmark, WorkloadId};
 
 #[test]
 fn checkpoint_resume_is_bit_identical_to_direct_fast_forward() {
@@ -67,6 +71,48 @@ fn promo_coverage(r: &SimReport) -> f64 {
     } else {
         r.promoted_executed as f64 / total as f64
     }
+}
+
+#[test]
+fn auto_plans_raise_promotion_coverage_without_costing_fetch_rate() {
+    // The `promo-pack` front end with and without the plan `tw analyze`
+    // would build, on every workload at 200k instructions. The counts
+    // are deterministic, so the bounds are exact: no workload's
+    // effective fetch rate may drop by more than 10 %, and promotion
+    // coverage must rise on at least 12 of the 15 synthetic workloads
+    // (EXPERIMENTS.md §B).
+    let insts = 200_000u64;
+    let base = lookup("promo-pack")
+        .expect("promo-pack is a registry preset")
+        .with_max_insts(insts);
+    let mut cells: Vec<(WorkloadId, SimConfig)> = Vec::new();
+    for w in WorkloadId::all() {
+        let plan = build_plan(&w.build(), insts, default_jobs()).expect("plan builds");
+        cells.push((w, base.clone()));
+        cells.push((w, base.clone().with_promotion_plan(plan)));
+    }
+    let reports = run_matrix(&cells, default_jobs());
+    assert_eq!(reports.len(), 2 * WorkloadId::COUNT);
+    let mut synthetic_raised = 0;
+    for (pair, (w, _)) in reports.chunks(2).zip(cells.iter().step_by(2)) {
+        let (plain, planned) = (&pair[0], &pair[1]);
+        let fetch_delta = (planned.effective_fetch_rate() - plain.effective_fetch_rate())
+            / plain.effective_fetch_rate()
+            * 100.0;
+        assert!(
+            fetch_delta >= -10.0,
+            "{}: the plan costs {fetch_delta:.2}% of the effective fetch rate",
+            w.name()
+        );
+        if w.family() == "synthetic" && promo_coverage(planned) > promo_coverage(plain) {
+            synthetic_raised += 1;
+        }
+    }
+    assert!(
+        synthetic_raised >= 12,
+        "promotion coverage rose on only {synthetic_raised} of {} synthetic workloads",
+        Benchmark::ALL.len()
+    );
 }
 
 #[test]

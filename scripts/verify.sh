@@ -31,19 +31,9 @@ cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> tw lint --all"
 target/release/tw lint --all
 
-echo "==> tw bench --smoke"
-bench_artifact="$(mktemp -t tw-bench-smoke.XXXXXX.json)"
-trace_artifact="$(mktemp -t tw-trace-smoke.XXXXXX.json)"
-trap 'rm -f "$bench_artifact" "$trace_artifact"' EXIT
-target/release/tw bench --smoke --out "$bench_artifact"
-target/release/tw bench --check "$bench_artifact"
-
-echo "==> tw bench --compare (self)"
-# An artifact compared against itself has zero deltas; any exit other
-# than success means the compare path itself broke.
-target/release/tw bench --compare "$bench_artifact" "$bench_artifact"
-
 echo "==> tw trace (smoke)"
+trace_artifact="$(mktemp -t tw-trace-smoke.XXXXXX.json)"
+trap 'rm -f "$trace_artifact"' EXIT
 target/release/tw trace --workload compress --preset headline \
   --insts 20000 --limit 10000 --out "$trace_artifact"
 
@@ -233,20 +223,40 @@ expect_exit 2 target/release/tw sim --bench gcc --config no-such-preset
 expect_exit 2 target/release/tw faults --workload gcc --rate -1
 expect_exit 2 target/release/tw serve --jobs 0
 expect_exit 2 env TW_JOBS=banana target/release/tw list
-bad_asm="$(mktemp -t tw-bad-asm.XXXXXX.s)"
-printf 'li t0, 0\nfrobnicate t1\n' > "$bad_asm"
-expect_exit 1 target/release/tw lint --asm "$bad_asm"
-printf '{"schema":"tw-bench/v1","cells":[' > "$bench_artifact.trunc"
-expect_exit 1 target/release/tw bench --check "$bench_artifact.trunc"
-printf '{"schema":"tw-plan/v9"}' > "$bench_artifact.plan"
-expect_exit 1 target/release/tw analyze --check "$bench_artifact.plan"
-printf 'not an rv image' > "$bench_artifact.rvbin"
-expect_exit 2 target/release/tw rv "$bench_artifact.rvbin"
+expect_exit 2 target/release/tw bench
+bad="$(mktemp -t tw-bad-input.XXXXXX)"
+printf 'li t0, 0\nfrobnicate t1\n' > "$bad.s"
+expect_exit 1 target/release/tw lint --asm "$bad.s"
+printf '{"schema":"tw-plan/v1","workload":"compress","branches":[' > "$bad.trunc"
+expect_exit 1 target/release/tw analyze --check "$bad.trunc"
+printf '{"schema":"tw-plan/v9"}' > "$bad.plan"
+expect_exit 1 target/release/tw analyze --check "$bad.plan"
+printf 'not an rv image' > "$bad.rvbin"
+expect_exit 2 target/release/tw rv "$bad.rvbin"
 expect_exit 2 target/release/tw sim --bench rv/no-such --config headline
 expect_exit 1 target/release/tw rv /nonexistent/missing.rv.bin
-rm -f "$bad_asm" "$bench_artifact.trunc" "$bench_artifact.plan" "$bench_artifact.rvbin"
+rm -f "$bad" "$bad.s" "$bad.trunc" "$bad.plan" "$bad.rvbin"
+
+echo "==> closed stdout pipe"
+# A reader that stops early (`tw list | head`) is not a failure: tw
+# exits 0 with nothing on stderr, never a broken-pipe panic.
+pipe_err="$(mktemp -t tw-pipe.XXXXXX.err)"
+for args in "list" "lint --all"; do
+  # shellcheck disable=SC2086 # split the argument list on purpose
+  if ! (sleep 0.3; target/release/tw $args 2>"$pipe_err") | true; then
+    echo "FAIL: 'tw $args' into a closed pipe exited non-zero" >&2
+    cat "$pipe_err" >&2
+    exit 1
+  fi
+  if [ -s "$pipe_err" ]; then
+    echo "FAIL: 'tw $args' into a closed pipe wrote to stderr" >&2
+    cat "$pipe_err" >&2
+    exit 1
+  fi
+done
+rm -f "$pipe_err"
 
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "OK: build + tests + perfbench pins + lint + bench smoke + compare + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + formatting all clean"
+echo "OK: build + tests + perfbench pins + lint + trace smoke + faults smoke + fast-forward/checkpoint smoke + rv32i smoke + analyze/plan smoke + serve load smoke + chaos/crash-recovery smoke + error layer + closed pipe + formatting all clean"

@@ -14,9 +14,6 @@
 //! tw lint [--bench gcc] [--asm FILE] [--json]
 //! tw analyze --workload gcc [--insts N] [--jobs N] [--json] [--out FILE]
 //! tw analyze --check PLAN.json
-//! tw bench [--smoke] [--insts N] [--samples N] [--out FILE] [--plan auto]
-//! tw bench --check FILE
-//! tw bench --compare OLD.json NEW.json [--tolerance PCT]
 //! tw serve [--addr HOST:PORT | --port N] [--jobs N] [--queue-depth N]
 //!          [--cache-entries N] [--cache-dir DIR] [--max-conns N]
 //!          [--max-body BYTES] [--max-insts N] [--insts N]
@@ -41,21 +38,16 @@
 //! every static conditional branch into the four-class predictability
 //! taxonomy, and emits a `tw-plan/v1` promotion plan; `--plan FILE` on
 //! `sim`/`compare` (or `--plan auto`, which builds the plan on the
-//! fly — the only form `bench` accepts) attaches the plan's per-branch
-//! promotion overrides to the run. `faults` runs one cell with a deterministic fault plan
-//! attached and reports the injected/detected/recovered/escaped
-//! counters. `trace` runs one cell with the event tracer attached and
-//! writes a Chrome/Perfetto `trace_event` JSON file; `--timeline` on
+//! fly) attaches the plan's per-branch promotion overrides to the run.
+//! `faults` runs one cell with a deterministic fault plan attached and
+//! reports the injected/detected/recovered/escaped counters. `trace`
+//! runs one cell with the event tracer attached and writes a
+//! Chrome/Perfetto `trace_event` JSON file; `--timeline` on
 //! `sim`/`compare` prints the interval timeline. `lint` runs
 //! `tc-analyze`'s five-pass static verifier over the workload programs
 //! (or, with `--asm`, over a text-assembly file) and exits non-zero on
-//! any error-severity finding. `bench` times the simulator itself over
-//! the benchmark × preset matrix and writes the `tw-bench/v1` JSON
-//! artifact (`BENCH_frontend.json` by default); `--smoke` runs a
-//! two-cell subset for CI, `--check` validates a previously emitted
-//! artifact without running anything, and `--compare` diffs two
-//! artifacts cell-by-cell, exiting non-zero when any cell's ns/cycle
-//! regressed past the tolerance (default 10%).
+//! any error-severity finding. The simulator's own speed is measured
+//! by the standalone `perfbench/` package, not by `tw`.
 //!
 //! `serve` runs the same job kinds as a long-lived HTTP/JSON service
 //! with a content-addressed result cache (see
@@ -64,13 +56,15 @@
 //!
 //! Every failure path returns a [`TwError`]: one `tw: <message>` line
 //! on stderr, exit code 2 for usage errors and 1 for runtime errors.
+//! Output goes through one locked stdout; a reader that closes the pipe
+//! early (`tw list | head`) ends the run quietly with exit code 0.
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 use std::env;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::time::Duration;
 
-use trace_weave::bench::{compare, suite};
 use trace_weave::fault::{FaultLocus, FaultPlan};
 use trace_weave::sim::harness::{
     self, presets, report_to_json, reports_to_json, run_matrix, run_matrix_watchdog, run_traced,
@@ -135,15 +129,6 @@ fn usage() -> ExitCode {
       decode and translate a flat RV32I image (.rv.bin) and print a
       front-end summary; malformed or untranslatable images are
       reported as one-line usage errors
-  tw bench [--smoke] [--insts N] [--samples N] [--out FILE] [--plan auto]
-      time the simulator over the benchmark x configuration matrix and
-      write a tw-bench/v1 JSON artifact (default BENCH_frontend.json);
-      --plan auto attaches an auto-built promotion plan to every cell
-  tw bench --check FILE
-      validate a previously emitted tw-bench artifact
-  tw bench --compare OLD.json NEW.json [--tolerance PCT]
-      diff two tw-bench artifacts cell-by-cell; exits 1 when any cell's
-      ns/cycle regressed more than PCT percent (default 10)
   tw serve [--addr HOST:PORT | --port N] [--jobs N] [--queue-depth N]
            [--cache-entries N] [--cache-dir DIR] [--max-conns N]
            [--max-body BYTES] [--max-insts N] [--insts N]
@@ -170,35 +155,39 @@ and rv/<name> for compiled RV32I programs (rv/qsort, rv/dispatch, ...);
 /// print what the front end would hand the simulator. Malformed images
 /// are *usage* errors (exit 2): the input contract, not the runtime,
 /// was violated.
-fn cmd_rv(path: &str) -> Result<ExitCode, TwError> {
+fn cmd_rv(out: &mut Out, path: &str) -> Result<ExitCode, TwError> {
     let bytes = std::fs::read(path).map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
     let image = trace_weave::rv::RvImage::parse(&bytes)
         .map_err(|e| TwError::usage(format!("{path}: {e}")))?;
     let t =
         trace_weave::rv::translate(&image).map_err(|e| TwError::usage(format!("{path}: {e}")))?;
     let expanded = t.program.len();
-    println!("image              {path}");
-    println!("rv instructions    {}", image.text.len());
-    println!("translated instrs  {expanded}");
-    println!(
+    writeln!(out, "image              {path}")?;
+    writeln!(out, "rv instructions    {}", image.text.len())?;
+    writeln!(out, "translated instrs  {expanded}")?;
+    writeln!(
+        out,
         "expansion          {:.3}x",
         expanded as f64 / image.text.len().max(1) as f64
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "entry              rv byte {:#x} -> index {}",
         image.entry,
         t.program.entry()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "data bytes         {} at base {:#x}",
         image.data.len(),
         image.data_base
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "memory             {} bytes ({} words)",
         image.mem_bytes, t.mem_words
-    );
-    println!("address-taken      {} target(s)", image.indirect.len());
+    )?;
+    writeln!(out, "address-taken      {} target(s)", image.indirect.len())?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -208,66 +197,79 @@ fn parse_bench(name: &str) -> Option<WorkloadId> {
         .find(|b| b.name() == name || b.short_name() == name)
 }
 
-fn print_report(r: &SimReport) {
-    println!("benchmark          {}", r.benchmark);
-    println!("configuration      {}", r.config);
-    println!("instructions       {}", r.instructions);
-    println!("cycles             {}", r.cycles);
-    println!("IPC                {:.3}", r.ipc());
-    println!("eff fetch rate     {:.2}", r.effective_fetch_rate());
-    println!(
+fn print_report(out: &mut Out, r: &SimReport) -> io::Result<()> {
+    writeln!(out, "benchmark          {}", r.benchmark)?;
+    writeln!(out, "configuration      {}", r.config)?;
+    writeln!(out, "instructions       {}", r.instructions)?;
+    writeln!(out, "cycles             {}", r.cycles)?;
+    writeln!(out, "IPC                {:.3}", r.ipc())?;
+    writeln!(out, "eff fetch rate     {:.2}", r.effective_fetch_rate())?;
+    writeln!(
+        out,
         "cond mispredict    {:.2}%",
         r.cond_mispredict_rate() * 100.0
-    );
-    println!("promoted executed  {}", r.promoted_executed);
-    println!("promoted faults    {}", r.promoted_faults);
-    println!("avg resolution     {:.1} cycles", r.avg_resolution_time());
+    )?;
+    writeln!(out, "promoted executed  {}", r.promoted_executed)?;
+    writeln!(out, "promoted faults    {}", r.promoted_faults)?;
+    writeln!(
+        out,
+        "avg resolution     {:.1} cycles",
+        r.avg_resolution_time()
+    )?;
     if let Some(tc) = &r.trace_cache {
-        println!("trace cache        {:.1}% miss", tc.miss_ratio() * 100.0);
+        writeln!(
+            out,
+            "trace cache        {:.1}% miss",
+            tc.miss_ratio() * 100.0
+        )?;
     }
     if let Some(s) = &r.sampling {
-        println!("stream division:");
-        println!("  fast-forwarded   {}", s.fast_forwarded);
-        println!("  warmed           {}", s.warmed);
-        println!("  measured         {}", s.measured);
-        println!("  windows          {}", s.windows);
-        println!("  total stream     {}", s.total_stream);
-        println!("  timed fraction   {:.2}%", s.timed_fraction() * 100.0);
+        writeln!(out, "stream division:")?;
+        writeln!(out, "  fast-forwarded   {}", s.fast_forwarded)?;
+        writeln!(out, "  warmed           {}", s.warmed)?;
+        writeln!(out, "  measured         {}", s.measured)?;
+        writeln!(out, "  windows          {}", s.windows)?;
+        writeln!(out, "  total stream     {}", s.total_stream)?;
+        writeln!(out, "  timed fraction   {:.2}%", s.timed_fraction() * 100.0)?;
     }
     if let Some(f) = &r.fault {
-        println!("fault injection:");
-        println!("  injected         {}", f.injected);
-        println!("  detected         {}", f.detected);
-        println!("  recovered        {}", f.recovered);
-        println!("  escaped          {}", f.escaped);
-        println!("  recovery cycles  {}", f.recovery_cycles);
+        writeln!(out, "fault injection:")?;
+        writeln!(out, "  injected         {}", f.injected)?;
+        writeln!(out, "  detected         {}", f.detected)?;
+        writeln!(out, "  recovered        {}", f.recovered)?;
+        writeln!(out, "  escaped          {}", f.escaped)?;
+        writeln!(out, "  recovery cycles  {}", f.recovery_cycles)?;
     }
     if let Some(p) = &r.plan {
-        println!(
+        writeln!(
+            out,
             "promotion plan     {} ({} branches, {} never-promote, {} insts profiled)",
             p.workload, p.entries, p.never_promote, p.profiled_insts
-        );
+        )?;
         for class in trace_weave::predict::BranchClass::ALL {
             let i = class.index();
             if p.class_branches[i] == 0 {
                 continue;
             }
-            println!(
+            writeln!(
+                out,
                 "  {:19} {:3} branches, {:9} execs, {:5.1}% promoted",
                 class.name(),
                 p.class_branches[i],
                 p.class_execs[i],
                 p.coverage(class) * 100.0
-            );
+            )?;
         }
     }
-    println!("cycle accounting:");
+    writeln!(out, "cycle accounting:")?;
     for (_, label, cycles) in r.accounting.categories() {
-        println!(
+        writeln!(
+            out,
             "  {label:14} {:5.1}%",
             cycles as f64 / r.cycles.max(1) as f64 * 100.0
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Parses a comma-separated `--targets` list into fault loci.
@@ -323,12 +325,8 @@ struct Flags {
     perfect: bool,
     json: bool,
     all: bool,
-    smoke: bool,
-    samples: u32,
     out: Option<String>,
     check: Option<String>,
-    compare_paths: Option<(String, String)>,
-    tolerance: f64,
     events: Option<String>,
     interval: Option<u64>,
     limit: usize,
@@ -361,8 +359,6 @@ struct Flags {
 impl Flags {
     fn parse(args: &[String]) -> Result<Flags, TwError> {
         let mut f = Flags {
-            samples: 3,
-            tolerance: 10.0,
             limit: harness::DEFAULT_TRACE_LIMIT,
             // Strict: a set-but-malformed TW_JOBS is a usage error, not
             // a silent fallback.
@@ -401,29 +397,8 @@ impl Flags {
                     f.jobs = harness::validate_jobs(n)
                         .map_err(|e| TwError::usage(format!("--jobs: {e}")))?;
                 }
-                "--samples" => {
-                    let n: u32 = number(args, &mut i, "--samples")?;
-                    if n == 0 {
-                        return Err(TwError::usage("--samples: must be at least 1"));
-                    }
-                    f.samples = n;
-                }
                 "--out" => f.out = Some(value(args, &mut i, "--out")?.to_string()),
                 "--check" => f.check = Some(value(args, &mut i, "--check")?.to_string()),
-                "--compare" => {
-                    let (Some(old), Some(new)) = (args.get(i + 1), args.get(i + 2)) else {
-                        return Err(TwError::usage("--compare: needs OLD.json and NEW.json"));
-                    };
-                    f.compare_paths = Some((old.clone(), new.clone()));
-                    i += 2;
-                }
-                "--tolerance" => {
-                    let t: f64 = number(args, &mut i, "--tolerance")?;
-                    if t.is_nan() || t < 0.0 {
-                        return Err(TwError::usage("--tolerance: must be non-negative"));
-                    }
-                    f.tolerance = t;
-                }
                 "--events" => f.events = Some(value(args, &mut i, "--events")?.to_string()),
                 "--interval" => {
                     let n: u64 = number(args, &mut i, "--interval")?;
@@ -530,7 +505,6 @@ impl Flags {
                 "--perfect-mem" => f.perfect = true,
                 "--json" => f.json = true,
                 "--all" => f.all = true,
-                "--smoke" => f.smoke = true,
                 "--timeline" => f.timeline = true,
                 other => return Err(TwError::usage(format!("unknown flag `{other}`"))),
             }
@@ -619,10 +593,51 @@ impl Flags {
 
 const DEFAULT_INSTS: u64 = 2_000_000;
 
+/// Standard output, locked once for the whole run. Every report line
+/// goes through it, so a failed write becomes a [`TwError`] instead of
+/// the panic `println!` raises; `closed` records whether the failure was
+/// the reader closing the pipe.
+struct Out {
+    inner: io::StdoutLock<'static>,
+    closed: bool,
+}
+
+impl Out {
+    fn note<T>(&mut self, result: io::Result<T>) -> io::Result<T> {
+        if let Err(e) = &result {
+            self.closed |= e.kind() == io::ErrorKind::BrokenPipe;
+        }
+        result
+    }
+}
+
+impl Write for Out {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let result = self.inner.write(buf);
+        self.note(result)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        let result = self.inner.flush();
+        self.note(result)
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = Out {
+        inner: io::stdout().lock(),
+        closed: false,
+    };
+    let result = run(&args, &mut out).and_then(|code| {
+        out.flush()?;
+        Ok(code)
+    });
+    match result {
         Ok(code) => code,
+        // The reader stopped listening (`tw list | head`); it has what
+        // it wanted, so this is not a failure of `tw`.
+        Err(_) if out.closed => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("tw: {e}");
             ExitCode::from(e.exit_code())
@@ -631,7 +646,7 @@ fn main() -> ExitCode {
 }
 
 #[allow(clippy::too_many_lines)]
-fn run(args: &[String]) -> Result<ExitCode, TwError> {
+fn run(args: &[String], out: &mut Out) -> Result<ExitCode, TwError> {
     let Some(cmd) = args.first() else {
         return Ok(usage());
     };
@@ -644,7 +659,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
         let [_, path] = args else {
             return Err(TwError::usage("rv: expected exactly one image path"));
         };
-        return cmd_rv(path);
+        return cmd_rv(out, path);
     }
     // `checkpoint` carries a save/restore subcommand before its flags.
     let f = if cmd == "checkpoint" {
@@ -655,22 +670,25 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
 
     match cmd.as_str() {
         "list" => {
-            println!("benchmarks (the paper's Table 1):");
+            writeln!(out, "benchmarks (the paper's Table 1):")?;
             for b in Benchmark::ALL {
-                println!("  {:12} ({})", b.name(), b.short_name());
+                writeln!(out, "  {:12} ({})", b.name(), b.short_name())?;
             }
-            println!("\nrv32i workloads (compiled code via the tc-rv front end):");
+            writeln!(
+                out,
+                "\nrv32i workloads (compiled code via the tc-rv front end):"
+            )?;
             for r in RvBench::ALL {
-                println!("  {:12} ({})", r.name(), r.short_name());
+                writeln!(out, "  {:12} ({})", r.name(), r.short_name())?;
             }
-            println!("\nconfigurations:");
+            writeln!(out, "\nconfigurations:")?;
             for p in presets() {
                 let aliases = if p.aliases.is_empty() {
                     String::new()
                 } else {
                     format!("  (aliases: {})", p.aliases.join(", "))
                 };
-                println!("  {:12} {}{aliases}", p.name, p.summary);
+                writeln!(out, "  {:12} {}{aliases}", p.name, p.summary)?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -729,9 +747,13 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 .map_err(|e| TwError::runtime(format!("local_addr: {e}")))?;
             // Scripts (verify.sh, the load helper) parse this line for
             // the resolved address; keep its shape stable.
-            println!("tw serve listening on http://{addr} ({workers} worker(s))");
+            writeln!(
+                out,
+                "tw serve listening on http://{addr} ({workers} worker(s))"
+            )?;
             let summary = server.run();
-            println!(
+            writeln!(
+                out,
                 "tw serve: {} request(s) ({} client error(s), {} server error(s)), \
                  {} job panic(s), {} connection(s) shed",
                 summary.requests,
@@ -739,7 +761,7 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 summary.server_errors,
                 summary.job_panics,
                 summary.conns_shed
-            );
+            )?;
             if summary.job_panics > 0 {
                 return Err(TwError::runtime(format!(
                     "{} job(s) panicked during this run",
@@ -774,26 +796,31 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                     ));
                 };
                 if f.json {
-                    println!(
+                    writeln!(
+                        out,
                         "{}",
                         harness::Value::object([
                             ("report", report_to_json(&run.report)),
                             ("timeline", harness::timeline_to_json(tl)),
                         ])
                         .pretty()
-                    );
+                    )?;
                 } else {
-                    print_report(&run.report);
-                    println!("\ninterval timeline ({} cycles/window):", tl.interval());
-                    print!("{}", timeline_table(tl));
+                    print_report(out, &run.report)?;
+                    writeln!(
+                        out,
+                        "\ninterval timeline ({} cycles/window):",
+                        tl.interval()
+                    )?;
+                    write!(out, "{}", timeline_table(tl))?;
                 }
                 return Ok(ExitCode::SUCCESS);
             }
             let report = trace_weave::sim::Processor::new(config).run(&workload);
             if f.json {
-                println!("{}", report_to_json(&report).pretty());
+                writeln!(out, "{}", report_to_json(&report).pretty())?;
             } else {
-                print_report(&report);
+                print_report(out, &report)?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -814,21 +841,22 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                             ))
                         })?;
                     let ckpt = harness::Checkpoint::capture(&workload, &machine);
-                    let out = f
+                    let path = f
                         .out
                         .unwrap_or_else(|| format!("{}.ckpt.json", bench.name()));
                     let text = harness::stamp(&format!("{}\n", ckpt.to_json().pretty()));
-                    harness::write_atomic(std::path::Path::new(&out), &text)
-                        .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
-                    println!(
-                        "wrote {out}: {} at instruction {} ({} memory run(s){})",
+                    harness::write_atomic(std::path::Path::new(&path), &text)
+                        .map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
+                    writeln!(
+                        out,
+                        "wrote {path}: {} at instruction {} ({} memory run(s){})",
                         bench.name(),
                         machine.retired(),
                         ckpt.mem.len(),
                         if machine.is_halted() { ", halted" } else { "" }
-                    );
+                    )?;
                     if ran < at {
-                        println!("note: workload completed after {ran} instructions");
+                        writeln!(out, "note: workload completed after {ran} instructions")?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
@@ -857,9 +885,9 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                     let report =
                         trace_weave::sim::Processor::new(config).run_from(&workload, machine);
                     if f.json {
-                        println!("{}", report_to_json(&report).pretty());
+                        writeln!(out, "{}", report_to_json(&report).pretty())?;
                     } else {
-                        print_report(&report);
+                        print_report(out, &report)?;
                     }
                     Ok(ExitCode::SUCCESS)
                 }
@@ -884,9 +912,9 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
             let workload = bench.build();
             let report = trace_weave::sim::Processor::new(config).run(&workload);
             if f.json {
-                println!("{}", report_to_json(&report).pretty());
+                writeln!(out, "{}", report_to_json(&report).pretty())?;
             } else {
-                print_report(&report);
+                print_report(out, &report)?;
             }
             Ok(ExitCode::SUCCESS)
         }
@@ -915,11 +943,11 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                     "internal error: emitted trace is malformed: {e}"
                 )));
             }
-            let out = f.out.unwrap_or_else(|| "trace.json".to_string());
+            let path = f.out.unwrap_or_else(|| "trace.json".to_string());
             // Chrome/Perfetto consume this file directly, so it gets
             // the atomic write but not the CRC stamp.
-            harness::write_atomic(std::path::Path::new(&out), &format!("{text}\n"))
-                .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
+            harness::write_atomic(std::path::Path::new(&path), &format!("{text}\n"))
+                .map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
             // "<out>: N events emitted, N recorded, N dropped, N filtered"
             let totals: Vec<String> = run
                 .summary
@@ -927,11 +955,16 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 .iter()
                 .map(|(name, n)| format!("{n} {name}"))
                 .collect();
-            println!("{out}: {}", totals.join(", ").replacen(' ', " events ", 1));
-            println!(
+            writeln!(
+                out,
+                "{path}: {}",
+                totals.join(", ").replacen(' ', " events ", 1)
+            )?;
+            writeln!(
+                out,
                 "load it in chrome://tracing or https://ui.perfetto.dev ({} cycles simulated)",
                 run.report.cycles
-            );
+            )?;
             Ok(ExitCode::SUCCESS)
         }
         "compare" => {
@@ -1003,7 +1036,8 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                 }
                 let completed: Vec<SimReport> = reports.into_iter().flatten().collect();
                 if f.timeline {
-                    println!(
+                    writeln!(
+                        out,
                         "{}",
                         harness::Value::object([
                             ("reports", reports_to_json(&completed)),
@@ -1015,48 +1049,52 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                             ),
                         ])
                         .pretty()
-                    );
+                    )?;
                 } else {
-                    println!("{}", reports_to_json(&completed).pretty());
+                    writeln!(out, "{}", reports_to_json(&completed).pretty())?;
                 }
                 return Ok(ExitCode::SUCCESS);
             }
             let with_faults = fault_plan.is_some();
             if with_faults {
-                println!(
+                writeln!(
+                    out,
                     "{:12} {:>10} {:>8} {:>10} {:>12} {:>10}",
                     "config", "eff fetch", "IPC", "mispred%", "resolution", "inj/esc"
-                );
+                )?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{:12} {:>10} {:>8} {:>10} {:>12}",
                     "config", "eff fetch", "IPC", "mispred%", "resolution"
-                );
+                )?;
             }
             for (name, r) in harness::STANDARD_FIVE.iter().zip(&reports) {
                 let Some(r) = r else {
-                    println!("{name:12} {:>10}", "timed out");
+                    writeln!(out, "{name:12} {:>10}", "timed out")?;
                     continue;
                 };
                 let faults = match &r.fault {
                     Some(fs) if with_faults => format!(" {:>6}/{:<3}", fs.injected, fs.escaped),
                     _ => String::new(),
                 };
-                println!(
+                writeln!(
+                    out,
                     "{:12} {:>10.2} {:>8.2} {:>9.2}% {:>11.1}c{faults}",
                     name,
                     r.effective_fetch_rate(),
                     r.ipc(),
                     r.cond_mispredict_rate() * 100.0,
                     r.avg_resolution_time()
-                );
+                )?;
             }
             for (name, tl) in harness::STANDARD_FIVE.iter().zip(&timelines) {
-                println!(
+                writeln!(
+                    out,
                     "\n{name} interval timeline ({} cycles/window):",
                     tl.interval()
-                );
-                print!("{}", timeline_table(tl));
+                )?;
+                write!(out, "{}", timeline_table(tl))?;
             }
             if hung.is_empty() {
                 Ok(ExitCode::SUCCESS)
@@ -1081,7 +1119,8 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                     .map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
                 let report = trace_weave::analyze::analyze(&program);
                 if f.json {
-                    println!(
+                    writeln!(
+                        out,
                         "{}",
                         harness::Value::object([
                             ("file", harness::Value::Str(path.clone())),
@@ -1090,17 +1129,18 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                             ("warnings", harness::Value::UInt(report.warnings() as u64)),
                         ])
                         .pretty()
-                    );
+                    )?;
                 } else {
                     for finding in &report.findings {
-                        println!("{path}: {finding}");
+                        writeln!(out, "{path}: {finding}")?;
                     }
-                    println!(
+                    writeln!(
+                        out,
                         "{path}: {} instruction(s), {} error(s), {} warning(s)",
                         program.len(),
                         report.errors(),
                         report.warnings()
-                    );
+                    )?;
                 }
                 return Ok(if report.errors() > 0 {
                     ExitCode::FAILURE
@@ -1124,19 +1164,20 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
             };
             let errors = harness::lint_errors(&entries);
             if f.json {
-                println!("{}", harness::lint_to_json(&entries).pretty());
+                writeln!(out, "{}", harness::lint_to_json(&entries).pretty())?;
             } else {
-                print!("{}", harness::lint_table(&entries));
+                write!(out, "{}", harness::lint_table(&entries))?;
                 for entry in &entries {
                     for finding in &entry.report.findings {
-                        println!("{}: {finding}", entry.benchmark);
+                        writeln!(out, "{}: {finding}", entry.benchmark)?;
                     }
                 }
-                println!(
+                writeln!(
+                    out,
                     "{} workload(s), {errors} error(s), {} warning(s)",
                     entries.len(),
                     entries.iter().map(|e| e.report.warnings()).sum::<usize>()
-                );
+                )?;
             }
             if errors > 0 {
                 Ok(ExitCode::FAILURE)
@@ -1148,13 +1189,14 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
             if let Some(path) = &f.check {
                 let text = harness::read_verified(path)?;
                 let plan = harness::parse_plan(&text)?;
-                println!(
+                writeln!(
+                    out,
                     "{path}: valid {} plan for {} ({} branches, {} never-promote)",
                     harness::PLAN_SCHEMA,
                     plan.workload,
                     plan.len(),
                     plan.never_promote()
-                );
+                )?;
                 return Ok(ExitCode::SUCCESS);
             }
             let bench = f.bench_required("--workload")?;
@@ -1166,129 +1208,30 @@ fn run(args: &[String]) -> Result<ExitCode, TwError> {
                     "internal error: emitted plan is malformed: {e}"
                 )));
             }
-            if let Some(out) = &f.out {
+            if let Some(path) = &f.out {
                 let stamped = harness::stamp(&format!("{text}\n"));
-                harness::write_atomic(std::path::Path::new(out), &stamped)
-                    .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
+                harness::write_atomic(std::path::Path::new(path), &stamped)
+                    .map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
             }
             if f.json {
-                println!("{text}");
+                writeln!(out, "{text}")?;
             } else {
-                println!(
+                writeln!(
+                    out,
                     "{}: {} static conditional branches, {} instructions profiled",
                     plan.workload,
                     plan.len(),
                     plan.profiled_insts
-                );
+                )?;
                 let counts = plan.class_counts();
                 for class in trace_weave::predict::BranchClass::ALL {
-                    println!("  {:19} {}", class.name(), counts[class.index()]);
+                    writeln!(out, "  {:19} {}", class.name(), counts[class.index()])?;
                 }
-                println!("  {:19} {}", "never-promote", plan.never_promote());
-                print!("{}", harness::plan_table(&plan));
-                if let Some(out) = &f.out {
-                    println!("wrote {out}");
+                writeln!(out, "  {:19} {}", "never-promote", plan.never_promote())?;
+                write!(out, "{}", harness::plan_table(&plan))?;
+                if let Some(path) = &f.out {
+                    writeln!(out, "wrote {path}")?;
                 }
-            }
-            Ok(ExitCode::SUCCESS)
-        }
-        "bench" => {
-            if let Some((old_path, new_path)) = &f.compare_paths {
-                let old_text = harness::read_verified(old_path)?;
-                let new_text = harness::read_verified(new_path)?;
-                let cmp = compare::compare_artifacts(&old_text, &new_text, f.tolerance)
-                    .map_err(TwError::runtime)?;
-                print!("{}", compare::render(&cmp));
-                return Ok(if cmp.regressions().is_empty() {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                });
-            }
-            if let Some(path) = &f.check {
-                let text = harness::read_verified(path)?;
-                suite::check_artifact(&text)
-                    .map_err(|e| TwError::runtime(format!("{path}: {e}")))?;
-                println!("{path}: valid {} artifact", suite::SCHEMA);
-                return Ok(ExitCode::SUCCESS);
-            }
-            let matrix = if f.smoke {
-                suite::smoke_matrix()
-            } else {
-                suite::full_matrix()
-            };
-            let insts = f.insts_or(if f.smoke { 20_000 } else { 200_000 });
-            let mut plans = std::collections::HashMap::new();
-            match f.plan.as_deref() {
-                None => {}
-                Some("auto") => {
-                    for &(b, _) in &matrix {
-                        if !plans.contains_key(b.name()) {
-                            plans.insert(b.name(), harness::build_plan(&b.build(), insts, f.jobs)?);
-                        }
-                    }
-                }
-                Some(other) => {
-                    return Err(TwError::usage(format!(
-                        "bench --plan: only `auto` is supported (one plan per benchmark), got {other:?}"
-                    )));
-                }
-            }
-            if !f.json {
-                println!(
-                    "{:12} {:12} {:>12} {:>12} {:>14}",
-                    "benchmark", "config", "wall", "ns/cycle", "instrs/sec"
-                );
-            }
-            let json = f.json;
-            let mut suite = suite::run_suite_planned(
-                &matrix,
-                insts,
-                f.samples,
-                |b| plans.get(b.name()).cloned(),
-                |cell, done, total| {
-                    if !json {
-                        println!(
-                            "{:12} {:12} {:>10.1}ms {:>12.1} {:>14.0}   [{done}/{total}]",
-                            cell.benchmark,
-                            cell.config,
-                            cell.wall_ns as f64 / 1e6,
-                            cell.ns_per_cycle(),
-                            cell.instrs_per_sec(),
-                        );
-                    }
-                },
-            );
-            if !json {
-                println!("\nsampling probes ({insts} insts, compress, full vs sampled):");
-                println!(
-                    "{:12} {:>8} {:>10} {:>11} {:>11} {:>11}",
-                    "config", "speedup", "eff MIPS", "fetch d%", "mispred dpp", "promo dpp"
-                );
-            }
-            suite.probes = suite::run_sampling_probes(&matrix, insts, f.samples, |p, _, _| {
-                if !json {
-                    println!(
-                        "{:12} {:>7.1}x {:>10.1} {:>+10.2}% {:>+11.3} {:>+11.3}",
-                        p.config,
-                        p.speedup(),
-                        p.sampled_mips(),
-                        p.fetch_rate_delta_pct(),
-                        p.mispredict_delta_pp(),
-                        p.promo_coverage_delta_pp(),
-                    );
-                }
-            });
-            let artifact = suite::suite_to_json(&suite).pretty();
-            if json {
-                println!("{artifact}");
-            }
-            let out = f.out.unwrap_or_else(|| "BENCH_frontend.json".to_string());
-            let stamped = harness::stamp(&format!("{artifact}\n"));
-            harness::write_atomic(std::path::Path::new(&out), &stamped)
-                .map_err(|e| TwError::runtime(format!("{out}: {e}")))?;
-            if !json {
-                println!("wrote {out}");
             }
             Ok(ExitCode::SUCCESS)
         }

@@ -15,11 +15,8 @@
 //! * [`trace`] — the cycle-level event-tracing layer (`tw trace`)
 //! * [`fault`] — deterministic fault plans and the injector (`tw faults`)
 //! * [`sim`] — whole-processor simulation driver and reports
-//! * [`bench`] — timing harnesses: the `tw bench` wall-clock suite and
-//!   the microbenchmark runner behind `benches/`
 
 pub use tc_analyze as analyze;
-pub use tc_bench as bench;
 pub use tc_cache as cache;
 pub use tc_core as core;
 pub use tc_engine as engine;
